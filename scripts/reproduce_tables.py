@@ -7,13 +7,13 @@ hard coded, so the script doubles as a smoke test.
 """
 
 import argparse
-from itertools import permutations
 
 from parkposet import (
     FinitePoset,
     Permutation,
     build_pp_poset,
     chain_count,
+    class_representatives,
     count_elements,
     parking_betti,
     signed_prime_character,
@@ -24,14 +24,6 @@ from parkposet import (
 
 def cycle_label(perm: Permutation) -> str:
     return "+".join(str(p) for p in sorted(perm.cycle_type(), reverse=True))
-
-
-def class_representatives(n: int) -> list[Permutation]:
-    seen: dict[tuple, Permutation] = {}
-    for images in permutations(range(1, n + 1)):
-        perm = Permutation(images)
-        seen.setdefault(perm.cycle_type(), perm)
-    return sorted(seen.values(), key=cycle_label)
 
 
 def main() -> int:

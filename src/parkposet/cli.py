@@ -25,8 +25,10 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import sys
 from itertools import permutations
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import (
@@ -43,7 +45,9 @@ from .enumeration import (
 )
 from .forests import (
     build_cluster_poset,
+    enumerate_forest_faces,
     face_counts_by_size,
+    forest_components,
     spanning_facets,
 )
 from .homology import (
@@ -60,8 +64,8 @@ from .kdivisible import (
     is_prime_chain,
     ppk_action,
 )
-from .nc import NoncrossingPartition, Permutation
-from .numbers import catalan, chain_count, fuss_catalan, whitney_first_kind
+from .nc import NoncrossingPartition, Permutation, class_representatives
+from .numbers import catalan, chain_count, fuss_catalan, stirling2, whitney_first_kind
 from .objects import (
     ParkingElement,
     Tree,
@@ -75,8 +79,14 @@ from .parking_order import (
     permutahedron_face_poset,
     right_comb_subposet,
 )
-from .poset import FinitePoset, posets_isomorphic
-from .series import TruncatedSeries, chain_inverse_series, chain_series, series_chain_count
+from .poset import posets_isomorphic
+from .series import (
+    TruncatedSeries,
+    chain_inverse_series,
+    chain_series,
+    log1p_series,
+    series_chain_count,
+)
 from .shelling import (
     check_code_monotone,
     check_equal_code_join,
@@ -145,14 +155,6 @@ def _chain_label(chain: Sequence[ParkingElement]) -> str:
 def _cycle_type_label(perm: Permutation) -> str:
     parts = sorted(perm.cycle_type(), reverse=True)
     return "+".join(str(p) for p in parts)
-
-
-def _class_representatives(n: int) -> list[Permutation]:
-    seen: dict[tuple, Permutation] = {}
-    for images in permutations(range(1, n + 1)):
-        perm = Permutation(images)
-        seen.setdefault(perm.cycle_type(), perm)
-    return sorted(seen.values(), key=_cycle_type_label)
 
 
 # ----- convert -----
@@ -232,38 +234,14 @@ def cmd_poset(args: argparse.Namespace) -> int:
 # ----- count -----
 
 
-def _multichain_rank_counts(poset: FinitePoset, k: int) -> list[int]:
-    """Weak k-multichain counts of the poset grouped by top rank."""
-    size = len(poset)
-    level = [1] * size
-    for _ in range(k - 1):
-        grown = []
-        for i in range(size):
-            mask = poset.downset_mask(i)
-            total = 0
-            while mask:
-                low = mask & -mask
-                total += level[low.bit_length() - 1]
-                mask ^= low
-            grown.append(total)
-        level = grown
-    ranks = poset.ranks()
-    out = [0] * (max(ranks) + 1)
-    for i, value in enumerate(level):
-        out[ranks[i]] += value
-    return out
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     _require(2 <= n <= 7, "need 2 <= n <= 7")
     _require(1 <= k <= 6, "need 1 <= k <= 6")
     lengths = range(n) if args.l is None else [args.l]
     _require(all(0 <= l < n for l in lengths), f"need 0 <= l < {n}")
-    with_oracle = n <= 5 or args.long
-    oracle = (
-        _multichain_rank_counts(build_pp_poset(n), k) if with_oracle else None
-    )
+    with_oracle = n <= (6 if args.long else 5)
+    oracle = build_pp_poset(n).multichain_rank_counts(k) if with_oracle else None
     rows = []
     for l in lengths:
         closed = chain_count(n, k, l)
@@ -297,66 +275,61 @@ _SHELLING_CHECKS: tuple[tuple[str, Callable[[int], int]], ...] = (
 )
 
 
-def cmd_shelling(args: argparse.Namespace) -> int:
-    n = args.n
-    _require(2 <= n <= (5 if args.long else 4), "need 2 <= n <= 4 (5 with --long)")
-    entries = []
+def shelling_suite(n: int) -> list[dict]:
+    """Run the shelling suite on [n]: the shelling check, both fork
+    lemmas and the support lemmas, one report entry each.  Every check
+    runs under the same capture: one that finds a broken invariant and
+    raises ValueError or RuntimeError reports ok false, with the
+    exception text as its counterexample."""
 
-    def record(name: str, size, ok: bool, counterexample) -> None:
+    def shelling() -> tuple[int, list]:
+        report = verify_shelling(n)
+        return report.num_chains, report.violations
+
+    def fork(verify: Callable) -> Callable[[], tuple[int, list]]:
+        def run() -> tuple[int, list]:
+            report = verify(n)
+            return report.checked, report.violations
+
+        return run
+
+    runs = [
+        ("shelling", shelling),
+        ("cover_fork", fork(verify_fork_lemma)),
+        ("nc_cover_fork", fork(verify_nc_fork_lemma)),
+    ]
+    runs += [(name, lambda fn=fn: (fn(n), [])) for name, fn in _SHELLING_CHECKS]
+    entries = []
+    for name, run in runs:
+        try:
+            domain, violations = run()
+            counterexample = str(violations[0]) if violations else None
+        except (ValueError, RuntimeError) as exc:
+            domain, counterexample = None, str(exc)
         entries.append(
             {
                 "name": name,
                 "n": n,
-                "domain": size,
-                "ok": ok,
+                "domain": domain,
+                "ok": counterexample is None,
                 "counterexample": counterexample,
             }
         )
+    return entries
 
-    shelling = verify_shelling(n)
-    record(
-        "shelling",
-        shelling.num_chains,
-        shelling.ok,
-        str(shelling.violations[0]) if shelling.violations else None,
-    )
-    for name, report in (
-        ("cover_fork", verify_fork_lemma(n)),
-        ("nc_cover_fork", verify_nc_fork_lemma(n)),
-    ):
-        record(
-            name,
-            report.checked,
-            report.ok,
-            str(report.violations[0]) if report.violations else None,
-        )
-    for name, fn in _SHELLING_CHECKS:
-        try:
-            record(name, fn(n), True, None)
-        except (ValueError, RuntimeError) as exc:
-            record(name, None, False, str(exc))
+
+def cmd_shelling(args: argparse.Namespace) -> int:
+    n = args.n
+    _require(2 <= n <= (5 if args.long else 4), "need 2 <= n <= 4 (5 with --long)")
+    entries = shelling_suite(n)
+    regression = {"name": "recursive_atom_ordering_regression", "n": 6, "domain": 1}
     try:
         witness = recursive_atom_ordering_failure()
-        entries.append(
-            {
-                "name": "recursive_atom_ordering_regression",
-                "n": 6,
-                "domain": 1,
-                "ok": True,
-                "counterexample": None,
-                "witness": {key: _word_label(value) for key, value in witness.items()},
-            }
-        )
-    except RuntimeError as exc:
-        entries.append(
-            {
-                "name": "recursive_atom_ordering_regression",
-                "n": 6,
-                "domain": 1,
-                "ok": False,
-                "counterexample": str(exc),
-            }
-        )
+        regression.update(ok=True, counterexample=None)
+        regression["witness"] = {key: _word_label(e) for key, e in witness.items()}
+    except (ValueError, RuntimeError) as exc:
+        regression.update(ok=False, counterexample=str(exc))
+    entries.append(regression)
     ok = all(entry["ok"] for entry in entries)
     _emit(_json_text({"n": n, "ok": ok, "checks": entries}), args.output)
     return 0 if ok else 1
@@ -373,7 +346,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         proper = poset.without_bottom()
         rows = []
         ok = True
-        for perm in _class_representatives(n):
+        for perm in class_representatives(n):
             value = top_homology_character(n, perm, proper=proper)
             closed = signed_prime_character(n, 1, perm)
             match = value == closed
@@ -457,7 +430,7 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
         sign = -1 if (n - 2) % 2 else 1
         rows = []
         ok = True
-        for perm in _class_representatives(n):
+        for perm in class_representatives(n):
             value = sign * lefschetz_number(
                 proper, lambda c: ppk_action(perm, c)
             )
@@ -504,6 +477,11 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
 
 
 # ----- verify-all -----
+#
+# VERIFY_CHECKS is the one implementation of each verification criterion.
+# A criterion takes the largest n and k of the sweep and returns whether
+# it holds with a one-line detail; verify-all and the acceptance tests
+# both run it.
 
 
 def _verify_cardinality(nmax: int, kmax: int) -> tuple[bool, str]:
@@ -535,7 +513,7 @@ def _verify_chain_formula(nmax: int, kmax: int) -> tuple[bool, str]:
     for n in range(2, top + 1):
         poset = build_pp_poset(n)
         for k in range(1, kmax + 1):
-            oracle = _multichain_rank_counts(poset, k)
+            oracle = poset.multichain_rank_counts(k)
             closed = [chain_count(n, k, l) for l in range(n)]
             if oracle != closed:
                 return False, f"(n,k)=({n},{k}): oracle {oracle} != {closed}"
@@ -561,69 +539,68 @@ def _verify_shelling_sweep(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     chains = 0
     for n in range(2, top + 1):
-        report = verify_shelling(n)
-        if not report.ok:
-            return False, f"n={n}: shelling violation {report.violations[0]}"
-        chains += report.num_chains
-        for fork in (verify_fork_lemma(n), verify_nc_fork_lemma(n)):
-            if not fork.ok:
-                return False, f"n={n}: fork violation {fork.violations[0]}"
-        for name, fn in _SHELLING_CHECKS:
-            try:
-                fn(n)
-            except (ValueError, RuntimeError) as exc:
-                return False, f"n={n}: {name}: {exc}"
+        entries = shelling_suite(n)
+        for entry in entries:
+            if not entry["ok"]:
+                return False, f"n={n}: {entry['name']}: {entry['counterexample']}"
+        if entries[0]["domain"] != factorial(n) * n ** (n - 2):
+            return False, f"n={n}: {entries[0]['domain']} maximal chains"
+        chains += entries[0]["domain"]
     try:
-        recursive_atom_ordering_failure()
+        witness = recursive_atom_ordering_failure()
     except RuntimeError as exc:
         return False, f"regression witness broke: {exc}"
+    if set(witness) != {"x", "y", "y_prime", "z", "z_prime", "w"}:
+        return False, f"regression witness names {sorted(witness)}"
     return True, f"shelling and support lemmas, n=2..{top} ({chains} chains)"
+
+
+def _betti_closed(n: int) -> tuple[int, ...]:
+    """Reduced Betti numbers from degree -1: (n-1)^(n-1) in degree n-2."""
+    return (0,) * (n - 1) + ((n - 1) ** (n - 1),)
 
 
 def _verify_homology(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     for n in range(3, top + 1):
         betti = parking_betti(n)
-        expected = tuple(
-            (n - 1) ** (n - 1) if degree == n - 2 else 0
-            for degree in range(-1, len(betti) - 1)
-        )
-        if betti != expected:
-            return False, f"n={n}: betti {betti} != {expected}"
+        if betti != _betti_closed(n):
+            return False, f"n={n}: betti {betti} != {_betti_closed(n)}"
     return True, f"betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..{top}"
+
+
+def _fixed(perm: Permutation, words: Iterable[tuple[int, ...]]) -> int:
+    return sum(1 for w in words if word_action(perm, w) == w)
 
 
 def _verify_characters(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     for n in range(2, top + 1):
-        poset = build_pp_poset(n)
-        proper = poset.without_bottom()
-        words = list(enumerate_parking_words(n))
-        prime_words = [w for w in words if is_prime_parking_word(w)]
-        for perm in _class_representatives(n):
+        proper = build_pp_poset(n).without_bottom()
+        reps = class_representatives(n)
+        words = {k: list(enumerate_parking_words(n, k)) for k in range(1, kmax + 1)}
+        prime_words = [w for w in words[1] if is_prime_parking_word(w)]
+        for perm in reps:
             value = top_homology_character(n, perm, proper=proper)
             if value != signed_prime_character(n, 1, perm):
                 return False, f"n={n}, type {_cycle_type_label(perm)}: {value}"
-            fixed_prime = sum(1 for w in prime_words if word_action(perm, w) == w)
+            fixed_prime = _fixed(perm, prime_words)
             if fixed_prime != prime_parking_character(n, 1, perm):
                 return False, f"n={n}: prime fixed count {fixed_prime}"
             sign = -1 if (n - perm.num_cycles()) % 2 else 1
             if value != sign * fixed_prime:
                 return False, f"n={n}: sign times prime count fails"
-        for k in range(1, kmax + 1):
-            kwords = list(enumerate_parking_words(n, k))
-            for perm in _class_representatives(n):
-                fixed = sum(1 for w in kwords if word_action(perm, w) == w)
+            for k, kwords in words.items():
+                fixed = _fixed(perm, kwords)
                 if fixed != parking_character(n, k, perm):
                     return False, f"(n,k)=({n},{k}): fixed {fixed}"
-    if nmax >= 3:
-        for k in range(1, kmax + 1):
-            kwords = list(enumerate_parking_words(3, k))
-            primes = [w for w in kwords if is_prime_parking_word(w, k)]
-            for perm in _class_representatives(3):
-                fixed = sum(1 for w in primes if word_action(perm, w) == w)
-                if fixed != prime_parking_character(3, k, perm):
-                    return False, f"k={k}: prime k-word count {fixed}"
+        if n == 3:
+            for k, kwords in words.items():
+                primes = [w for w in kwords if is_prime_parking_word(w, k)]
+                for perm in reps:
+                    fixed = _fixed(perm, primes)
+                    if fixed != prime_parking_character(3, k, perm):
+                        return False, f"k={k}: prime k-word count {fixed}"
     return True, f"Lefschetz and fixed-point characters, n<={top}, k<={kmax}"
 
 
@@ -634,8 +611,8 @@ def _verify_series(nmax: int, kmax: int) -> tuple[bool, str]:
     one = TruncatedSeries.constant(order, 1)
     for k in range(1, kmax + 1):
         series = chain_series(k, order)
-        rhs = (x * (t * series + one) ** k).exp() - one
-        if series != rhs:
+        inner = x * (t * series + one) ** k
+        if series != inner.exp() - one or log1p_series(order).compose(series) != inner:
             return False, f"k={k}: functional equation fails"
         inverse = chain_inverse_series(k, order)
         if series.compose(inverse) != x or inverse.compose(series) != x:
@@ -652,17 +629,22 @@ def _verify_ktrees(nmax: int, kmax: int) -> tuple[bool, str]:
     trees = list(enumerate_trees(n, k))
     if len(trees) != (k * n + 1) ** (n - 1):
         return False, f"{len(trees)} k-trees"
+    chains = set()
     for tree in trees:
         blocks, slots, word = ktree_code(tree, k)
         if ktree_from_code(n, k, blocks, slots, word) != tree:
             return False, f"Prufer roundtrip fails on {tree!r}"
         chain = chain_from_ktree(tree, k)
+        chains.add(tuple(chain))
         if ktree_from_chain(chain) != tree:
             return False, f"chain roundtrip fails on {tree!r}"
-        for perm in _class_representatives(n):
+        for images in permutations(range(1, n + 1)):
+            perm = Permutation(images)
             moved = ktree_from_chain([e.act(perm) for e in chain])
             if moved != tree_action(perm, tree):
                 return False, f"equivariance fails on {tree!r}"
+    if len(chains) != len(trees):
+        return False, f"{len(chains)} distinct chains from {len(trees)} k-trees"
     return True, f"Prufer and chain bijections round-trip, (n,k)=({n},{k})"
 
 
@@ -671,15 +653,26 @@ def _verify_cluster(nmax: int, kmax: int) -> tuple[bool, str]:
         facets = spanning_facets(n)
         if len(facets) != catalan(n - 1):
             return False, f"n={n}: {len(facets)} facets"
+    for n in range(2, 6):
+        fibers: dict[NoncrossingPartition, int] = {}
+        for face in enumerate_forest_faces(n):
+            partition = forest_components(n, face)
+            fibers[partition] = fibers.get(partition, 0) + 1
+        for partition, size in fibers.items():
+            product = 1
+            for block in partition.blocks:
+                product *= catalan(len(block) - 1)
+            if size != product:
+                return False, f"n={n}: fiber over {partition} has {size} faces"
     top = min(nmax, 4)
     for n in range(3, top + 1):
         poset = build_cluster_poset(n)
         sizes = poset.whitney_second()
         signed = build_pp_poset(n).whitney_first()
-        if sizes != [abs(w) for w in signed]:
+        if sizes != [(-1) ** l * w for l, w in enumerate(signed)]:
             return False, f"n={n}: rank sizes {sizes}"
         betti = reduced_betti(poset.without_bottom())
-        if betti[-1] != (n - 1) ** (n - 1) or any(b for b in betti[:-1]):
+        if betti != _betti_closed(n):
             return False, f"n={n}: cluster betti {betti}"
     return True, f"facet counts n<8, Whitney relation and top rank n<={top}"
 
@@ -697,6 +690,10 @@ def _verify_kdivisible(nmax: int, kmax: int) -> tuple[bool, str]:
             closed = [chain_count(n, k, l) for l in range(n)]
             if poset.whitney_second() != closed:
                 return False, f"(n,k)=({n},{k}): rank sizes"
+            if (n, k) == (3, 2):
+                betti = reduced_betti(poset.without_bottom())
+                if betti != (0, 0, 25):
+                    return False, f"(3,2) betti {betti}"
     for n, k in ((2, 2), (3, 2), (2, 3)):
         if n > nmax or k > kmax:
             continue
@@ -708,10 +705,6 @@ def _verify_kdivisible(nmax: int, kmax: int) -> tuple[bool, str]:
             return False, f"(n,k)=({n},{k}): subposet rank sizes"
         if not posets_isomorphic(sub, chain_poset):
             return False, f"(n,k)=({n},{k}): subposet not isomorphic"
-    if nmax >= 3 and kmax >= 2:
-        betti = reduced_betti(build_ppk_poset(3, 2).without_bottom())
-        if betti != (0, 0, 25):
-            return False, f"(3,2) betti {betti}"
     return True, f"k-divisible counts, Edelman subposets, homology, k<={kmax}"
 
 
@@ -720,8 +713,9 @@ def _verify_permutahedron(nmax: int, kmax: int) -> tuple[bool, str]:
     for n in range(2, top + 1):
         comb = right_comb_subposet(n)
         faces = permutahedron_face_poset(n)
-        if len(comb) != len(faces):
-            return False, f"n={n}: {len(comb)} vs {len(faces)}"
+        fubini = sum(factorial(j) * stirling2(n, j) for j in range(1, n + 1))
+        if not len(comb) == len(faces) == fubini:
+            return False, f"n={n}: {len(comb)} vs {len(faces)} vs {fubini}"
         image = {elem.to_composition() for elem in comb.elements}
         if image != set(faces.elements):
             return False, f"n={n}: composition witness not a bijection"
@@ -732,28 +726,26 @@ def _verify_permutahedron(nmax: int, kmax: int) -> tuple[bool, str]:
     return True, f"right comb matches composition face poset, n=2..{top}"
 
 
-_VERIFY_CHECKS: tuple[tuple[str, Callable[[int, int], tuple[bool, str]]], ...] = (
-    ("cardinality", _verify_cardinality),
-    ("whitney-second", _verify_whitney_second),
-    ("chain-formula", _verify_chain_formula),
-    ("mobius-whitney-first", _verify_mobius),
-    ("shelling", _verify_shelling_sweep),
-    ("homology-betti", _verify_homology),
-    ("characters", _verify_characters),
-    ("series", _verify_series),
-    ("k-trees", _verify_ktrees),
-    ("cluster", _verify_cluster),
-    ("k-divisible", _verify_kdivisible),
-    ("permutahedron", _verify_permutahedron),
-)
-
-_VERIFY_TABLE = dict(_VERIFY_CHECKS)
+VERIFY_CHECKS: dict[str, Callable[[int, int], tuple[bool, str]]] = {
+    "cardinality": _verify_cardinality,
+    "whitney-second": _verify_whitney_second,
+    "chain-formula": _verify_chain_formula,
+    "mobius-whitney-first": _verify_mobius,
+    "shelling": _verify_shelling_sweep,
+    "homology-betti": _verify_homology,
+    "characters": _verify_characters,
+    "series": _verify_series,
+    "k-trees": _verify_ktrees,
+    "cluster": _verify_cluster,
+    "k-divisible": _verify_kdivisible,
+    "permutahedron": _verify_permutahedron,
+}
 
 
 def _run_verify_check(task: tuple[str, int, int]) -> tuple[str, bool, str]:
     name, nmax, kmax = task
     try:
-        ok, detail = _VERIFY_TABLE[name](nmax, kmax)
+        ok, detail = VERIFY_CHECKS[name](nmax, kmax)
     except Exception as exc:  # surface, never crash the sweep
         return name, False, f"raised {exc!r}"
     return name, ok, detail
@@ -763,9 +755,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     nmax, kmax = args.n, args.k
     _require(2 <= nmax <= (5 if args.long else 4), "need 2 <= n <= 4 (5 with --long)")
     _require(1 <= kmax <= 3, "need 1 <= k <= 3")
-    tasks = [(name, nmax, kmax) for name, _ in _VERIFY_CHECKS]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    tasks = [(name, nmax, kmax) for name in VERIFY_CHECKS]
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_verify_check, tasks)
     else:
         results = [_run_verify_check(task) for task in tasks]

@@ -16,7 +16,7 @@ Conventions used package-wide:
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 MAX_ENUMERATION_N = 12
@@ -196,6 +196,17 @@ class Permutation:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 word[a - 1] = b
         return cls(word)
+
+
+def class_representatives(n: int) -> list[Permutation]:
+    """One permutation of each cycle type of S_n, the first in
+    lexicographic order of images, listed by the label "3+1+1" of the
+    cycle type in string order."""
+    seen: dict[tuple[int, ...], Permutation] = {}
+    for images in permutations(range(1, n + 1)):
+        perm = Permutation(images)
+        seen.setdefault(perm.cycle_type(), perm)
+    return [seen[t] for t in sorted(seen, key=lambda t: "+".join(map(str, t)))]
 
 
 def embed_permutation(partition: SetPartition) -> Permutation:

@@ -274,7 +274,7 @@ def pp_meet(a: ParkingElement, b: ParkingElement) -> ParkingElement:
     return result
 
 
-MAX_POSET_N = 5
+MAX_POSET_N = 6
 
 
 @lru_cache(maxsize=None)

@@ -177,15 +177,25 @@ class FinitePoset:
 
     # ----- chains -----
 
-    def zeta_count(self, k: int) -> int:
-        """Number of k-multichains x_1 <= ... <= x_k; k = 0 gives 1."""
-        if k == 0:
-            return 1
+    def _multichains_ending_at(self, k: int) -> list[int]:
+        """Per element x, the number of multichains x_1 <= ... <= x_k = x."""
         down_lists = self._down_lists()
         vec = [1] * len(self.elements)
         for _ in range(k - 1):
             vec = [sum(vec[j] for j in down_lists[i]) for i in range(len(vec))]
-        return sum(vec)
+        return vec
+
+    def zeta_count(self, k: int) -> int:
+        """Number of k-multichains x_1 <= ... <= x_k; k = 0 gives 1."""
+        return sum(self._multichains_ending_at(k)) if k else 1
+
+    def multichain_rank_counts(self, k: int) -> list[int]:
+        """Number of k-multichains, k >= 1, grouped by the rank of their
+        top element."""
+        out = [0] * (self.height() + 1)
+        for r, value in zip(self.ranks(), self._multichains_ending_at(k)):
+            out[r] += value
+        return out
 
     def count_maximal_chains(self) -> int:
         paths = [0] * len(self.elements)

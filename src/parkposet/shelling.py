@@ -160,7 +160,7 @@ def sorted_maximal_chains(poset: FinitePoset) -> list[tuple[int, ...]]:
     at that position both elements cover the same element, and the
     cover order there decides.
     """
-    index = {elem: i for i, elem in enumerate(poset.elements)}
+    index = poset.index
     chains = [tuple(index[e] for e in chain) for chain in poset.maximal_chains()]
     keys = _edge_keys(poset)
 
@@ -192,9 +192,6 @@ def verify_shelling(n: int) -> ShellingReport:
     poset = build_pp_poset_hat(n)
     chains = sorted_maximal_chains(poset)
     cover_set = set(poset.cover_index_pairs())
-    up_adj: dict[int, list[int]] = {}
-    for i, j in cover_set:
-        up_adj.setdefault(i, []).append(j)
     keys = _edge_keys(poset)
 
     wedge_cache: dict[tuple[int, int, int], bool] = {}
@@ -207,7 +204,7 @@ def verify_shelling(n: int) -> ShellingReport:
                 psi != mid
                 and (psi, above) in cover_set
                 and keys[(below, psi)] < mid_key
-                for psi in up_adj[below]
+                for psi in poset.up[below]
             )
         return wedge_cache[triple]
 
@@ -270,24 +267,19 @@ def verify_fork_lemma(n: int) -> ForkReport:
     """
     poset = build_pp_poset(n)
     elements = poset.elements
-    index = {elem: i for i, elem in enumerate(elements)}
+    up = poset.up
     cover_set = set(poset.cover_index_pairs())
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in cover_set:
-        up_adj[i].append(j)
 
     report = ForkReport(n=n)
     for x in range(len(elements)):
-        ups = up_adj[x]
+        ups = up[x]
         keys = {y: cover_key(elements[x], elements[y]) for y in ups}
         for y in ups:
             earlier = [yp for yp in ups if keys[yp] < keys[y]]
             if not earlier:
                 continue
-            y_keys = {
-                z: cover_key(elements[y], elements[z]) for z in up_adj[y]
-            }
-            for z in up_adj[y]:
+            y_keys = {z: cover_key(elements[y], elements[z]) for z in up[y]}
+            for z in up[y]:
                 middle = [
                     ypp
                     for ypp in ups
@@ -299,11 +291,11 @@ def verify_fork_lemma(n: int) -> ForkReport:
                         report.replaced_middle += 1
                         continue
                     join = pp_join(elements[yp], elements[z])
-                    join_idx = None if join is TOP else index[join]
+                    join_idx = None if join is TOP else poset.index[join]
                     found = any(
                         y_keys[zp] < y_keys[z]
                         and (join_idx is None or poset.leq_index(zp, join_idx))
-                        for zp in up_adj[y]
+                        for zp in up[y]
                     )
                     if found:
                         report.raised_top += 1
@@ -393,12 +385,8 @@ def check_split_diamond(n: int) -> int:
     of diamonds checked."""
     poset = build_pp_poset(n)
     elements = poset.elements
-    index = {elem: i for i, elem in enumerate(elements)}
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in poset.cover_index_pairs():
-        up_adj[i].append(j)
     checked = 0
-    for x, ups in up_adj.items():
+    for x, ups in enumerate(poset.up):
         base = elements[x]
         for s in range(len(ups)):
             for t in range(s + 1, len(ups)):
@@ -409,7 +397,7 @@ def check_split_diamond(n: int) -> int:
                 join = pp_join(a, b)
                 if join is TOP or join.rank != base.rank + 2:
                     raise ValueError(f"diamond join fails over {base}")
-                j = index[join]
+                j = poset.index[join]
                 between = {
                     k
                     for k in range(len(elements))
@@ -437,12 +425,8 @@ def check_same_block_jump_bound(n: int) -> int:
     there.  Returns the number of cover pairs checked."""
     poset = build_pp_poset(n)
     elements = poset.elements
-    index = {elem: i for i, elem in enumerate(elements)}
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in poset.cover_index_pairs():
-        up_adj[i].append(j)
     checked = 0
-    for x, ups in up_adj.items():
+    for x, ups in enumerate(poset.up):
         base = elements[x]
         for s in range(len(ups)):
             for t in range(s + 1, len(ups)):
@@ -453,14 +437,14 @@ def check_same_block_jump_bound(n: int) -> int:
                 if join is TOP:
                     continue
                 bound = max(code_jump(base, a), code_jump(base, b))
-                j = index[join]
+                j = poset.index[join]
                 inside = [
                     u
                     for u in range(len(elements))
                     if poset.leq_index(x, u) and poset.leq_index(u, j)
                 ]
                 for u in inside:
-                    for v in up_adj[u]:
+                    for v in poset.up[u]:
                         if not poset.leq_index(v, j):
                             continue
                         checked += 1
@@ -478,18 +462,15 @@ def check_minimal_jump_grows(n: int) -> int:
     number of such minimal configurations."""
     poset = build_pp_poset(n)
     elements = poset.elements
+    up = poset.up
     cover_set = set(poset.cover_index_pairs())
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in cover_set:
-        up_adj[i].append(j)
     checked = 0
     for x in range(len(elements)):
-        keys = {y: cover_key(elements[x], elements[y]) for y in up_adj[x]}
-        for y in up_adj[x]:
-            for z in up_adj[y]:
+        keys = {y: cover_key(elements[x], elements[y]) for y in up[x]}
+        for y in up[x]:
+            for z in up[y]:
                 if any(
-                    (yp, z) in cover_set and keys[yp] < keys[y]
-                    for yp in up_adj[x]
+                    (yp, z) in cover_set and keys[yp] < keys[y] for yp in up[x]
                 ):
                     continue
                 checked += 1
@@ -508,11 +489,8 @@ def check_jump_code_compatible(n: int) -> int:
     the same way.  Returns the number of ordered pairs checked."""
     poset = build_pp_poset(n)
     elements = poset.elements
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in poset.cover_index_pairs():
-        up_adj[i].append(j)
     checked = 0
-    for x, ups in up_adj.items():
+    for x, ups in enumerate(poset.up):
         base = elements[x]
         for s in ups:
             for t in ups:
@@ -549,7 +527,6 @@ def check_nc_el_labeling(n: int) -> int:
         per_lower[i].add(lab)
         labels[(i, j)] = lab
 
-    index = {elem: i for i, elem in enumerate(elements)}
     checked = 0
     for a in range(len(elements)):
         for b in range(len(elements)):
@@ -559,7 +536,7 @@ def check_nc_el_labeling(n: int) -> int:
             interval = poset.interval(elements[a], elements[b])
             sequences = []
             for chain in interval.maximal_chains():
-                idx = [index[e] for e in chain]
+                idx = [poset.index[e] for e in chain]
                 sequences.append(
                     tuple(labels[(idx[t], idx[t + 1])] for t in range(len(idx) - 1))
                 )
@@ -580,28 +557,21 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     covers ordered by their transposition labels."""
     poset = build_nc_poset(n)
     elements = poset.elements
+    up = poset.up
     cover_set = set(poset.cover_index_pairs())
-    up_adj: dict[int, list[int]] = {i: [] for i in range(len(elements))}
-    for i, j in cover_set:
-        up_adj[i].append(j)
 
     report = ForkReport(n=n)
     for x in range(len(elements)):
-        keys = {
-            y: transposition_label(elements[x], elements[y]) for y in up_adj[x]
-        }
-        for y in up_adj[x]:
-            earlier = [yp for yp in up_adj[x] if keys[yp] < keys[y]]
+        keys = {y: transposition_label(elements[x], elements[y]) for y in up[x]}
+        for y in up[x]:
+            earlier = [yp for yp in up[x] if keys[yp] < keys[y]]
             if not earlier:
                 continue
-            y_keys = {
-                z: transposition_label(elements[y], elements[z])
-                for z in up_adj[y]
-            }
-            for z in up_adj[y]:
+            y_keys = {z: transposition_label(elements[y], elements[z]) for z in up[y]}
+            for z in up[y]:
                 middle = [
                     ypp
-                    for ypp in up_adj[x]
+                    for ypp in up[x]
                     if (ypp, z) in cover_set and keys[ypp] < keys[y]
                 ]
                 for yp in earlier:
@@ -612,7 +582,7 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
                     join = poset.join_index(yp, z)
                     found = any(
                         y_keys[zp] < y_keys[z] and poset.leq_index(zp, join)
-                        for zp in up_adj[y]
+                        for zp in up[y]
                     )
                     if found:
                         report.raised_top += 1

@@ -1,307 +1,121 @@
 """Acceptance sweep: twelve end-to-end criteria, one line of output each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the pass/fail
-line per criterion alongside the pytest verdicts.  Every criterion
-rechecks results from scratch through the public API, so this module
-doubles as a reproduction script for the headline numbers.
+line per criterion alongside the pytest verdicts.  Each test runs one
+entry of ``parkposet.cli.VERIFY_CHECKS``, the registry behind
+``parkposet verify-all``, at the acceptance sizes: cardinality up to
+n = 6, the Whitney numbers and Mobius value up to n = 5, everything
+else up to n = 4 and k = 3.  Next to it the test pins the closed forms
+that the criterion checks against to this module's own copies of them
+and to literal values.
 """
 
-import functools
 import time
-from itertools import permutations
 from math import factorial
 
-from parkposet.cli import _multichain_rank_counts
-from parkposet.enumeration import (
-    chain_from_ktree,
-    enumerate_parking_words,
-    is_prime_parking_word,
-    ktree_code,
-    ktree_from_chain,
-    ktree_from_code,
-    tree_action,
-    word_action,
-)
-from parkposet.forests import (
-    build_cluster_poset,
-    enumerate_forest_faces,
-    forest_components,
-    spanning_facets,
-)
-from parkposet.homology import (
-    parking_betti,
-    reduced_betti,
-    signed_prime_character,
-    top_homology_character,
-)
-from parkposet.kdivisible import (
-    build_divisible_nc_poset,
-    build_nck_poset,
-    build_ppk_poset,
-)
-from parkposet.nc import Permutation
-from parkposet.numbers import binomial, catalan, stirling2
-from parkposet.objects import (
-    count_elements,
-    enumerate_elements,
-    enumerate_trees,
-)
-from parkposet.parking_order import (
-    build_pp_poset,
-    permutahedron_face_poset,
-    right_comb_subposet,
-)
-from parkposet.poset import posets_isomorphic
-from parkposet.series import (
-    TruncatedSeries,
-    chain_inverse_series,
-    chain_series,
-    log1p_series,
-    series_chain_count,
-)
-from parkposet.shelling import (
-    check_code_monotone,
-    check_equal_code_join,
-    check_jump_code_compatible,
-    check_minimal_jump_grows,
-    check_nc_el_labeling,
-    check_same_block_jump_bound,
-    check_split_diamond,
-    check_zero_prefix_blocks,
-    check_zero_prefix_join,
-    recursive_atom_ordering_failure,
-    verify_fork_lemma,
-    verify_nc_fork_lemma,
-    verify_shelling,
-)
+from parkposet.cli import VERIFY_CHECKS
+from parkposet.enumeration import parking_character, prime_parking_character
+from parkposet.homology import signed_prime_character
+from parkposet.nc import class_representatives
+from parkposet.numbers import binomial, chain_count, stirling2, whitney_first_kind
 
 
-def reported(number, text):
-    """Print one [PASS]/[FAIL] line per criterion, then let pytest judge."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(*args, **kwargs):
-            try:
-                fn(*args, **kwargs)
-            except BaseException:
-                print(f"[FAIL] criterion {number:2d}: {text}")
-                raise
-            print(f"[PASS] criterion {number:2d}: {text}")
-
-        return inner
-
-    return wrap
-
-
-def class_representatives(n):
-    seen = {}
-    for images in permutations(range(1, n + 1)):
-        perm = Permutation(images)
-        seen.setdefault(perm.cycle_type(), perm)
-    return list(seen.values())
+def run_criterion(number, name, nmax, kmax=3):
+    """Run one registry criterion, print its [PASS]/[FAIL] line and
+    return the seconds it took."""
+    start = time.perf_counter()
+    ok, detail = VERIFY_CHECKS[name](nmax, kmax)
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:2d}: {name}: {detail}")
+    assert ok, detail
+    return time.perf_counter() - start
 
 
 def closed_chain_count(n, k, l):
     return factorial(l) * binomial(k * n, l) * stirling2(n, l + 1)
 
 
-@reported(1, "cardinality (n+1)^(n-1) in four representations, n=2..6")
 def test_criterion_01_cardinality():
-    start = time.perf_counter()
+    assert run_criterion(1, "cardinality", 6) < 60
     expected_values = {2: 3, 3: 16, 4: 125, 5: 1296, 6: 16807}
     for n, expected in expected_values.items():
         assert expected == (n + 1) ** (n - 1)
-        assert count_elements(n) == expected
-        assert sum(1 for _ in enumerate_parking_words(n)) == expected
-        assert sum(1 for _ in enumerate_trees(n)) == expected
-        assert len({e.to_triple() for e in enumerate_elements(n)}) == expected
-    assert time.perf_counter() - start < 60
 
 
-@reported(2, "rank census equals l!*binom(n,l)*S2(n,l+1) for n<=5")
 def test_criterion_02_whitney_second():
+    run_criterion(2, "whitney-second", 5)
     for n in range(2, 6):
-        census = build_pp_poset(n).whitney_second()
-        assert census == [closed_chain_count(n, 1, l) for l in range(n)]
+        for l in range(n):
+            assert chain_count(n, 1, l) == closed_chain_count(n, 1, l)
 
 
-@reported(3, "multichain census matches closed counts, n<=4, k<=3")
 def test_criterion_03_chain_formula():
+    run_criterion(3, "chain-formula", 4)
     for n in range(2, 5):
-        poset = build_pp_poset(n)
         for k in range(1, 4):
-            oracle = _multichain_rank_counts(poset, k)
-            assert oracle == [closed_chain_count(n, k, l) for l in range(n)]
-            assert sum(oracle) == (n * k + 1) ** (n - 1)
+            for l in range(n):
+                assert chain_count(n, k, l) == closed_chain_count(n, k, l)
 
 
-@reported(4, "Whitney first kind and mobius match closed forms, n<=5")
 def test_criterion_04_whitney_first_mobius():
+    run_criterion(4, "mobius-whitney-first", 5)
     for n in range(2, 6):
-        poset = build_pp_poset(n)
-        closed = [
-            (-1) ** l * factorial(l) * binomial(n + l - 1, l) * stirling2(n, l + 1)
-            for l in range(n)
-        ]
-        assert poset.whitney_first() == closed
-        assert poset.mobius_hat() == (-1) ** n * (n - 1) ** (n - 1)
+        for l in range(n):
+            assert whitney_first_kind(n, l) == (
+                (-1) ** l * factorial(l) * binomial(n + l - 1, l) * stirling2(n, l + 1)
+            )
 
 
-@reported(5, "shelling, fork and support lemmas, regression witness, n<=4")
 def test_criterion_05_shelling():
-    start = time.perf_counter()
+    assert run_criterion(5, "shelling", 4) < 600
     expected_chains = {2: 2, 3: 18, 4: 384}
-    for n in range(2, 5):
-        report = verify_shelling(n)
-        assert report.ok
-        assert report.num_chains == expected_chains[n]
-        assert verify_fork_lemma(n).ok
-        assert verify_nc_fork_lemma(n).ok
-        for check in (
-            check_code_monotone,
-            check_equal_code_join,
-            check_zero_prefix_blocks,
-            check_zero_prefix_join,
-            check_split_diamond,
-            check_same_block_jump_bound,
-            check_minimal_jump_grows,
-            check_jump_code_compatible,
-            check_nc_el_labeling,
-        ):
-            assert check(n) >= 0
-    witness = recursive_atom_ordering_failure()
-    assert set(witness) == {"x", "y", "y_prime", "z", "z_prime", "w"}
-    assert time.perf_counter() - start < 600
+    for n, chains in expected_chains.items():
+        assert chains == factorial(n) * n ** (n - 2)
 
 
-@reported(6, "proper-part homology concentrated in degree n-2, n=3,4")
 def test_criterion_06_homology():
-    start = time.perf_counter()
-    assert parking_betti(3) == (0, 0, 4)
-    assert parking_betti(4) == (0, 0, 0, 27)
-    assert time.perf_counter() - start < 300
+    assert run_criterion(6, "homology-betti", 4) < 300
+    for n, betti in ((3, (0, 0, 4)), (4, (0, 0, 0, 27))):
+        assert betti == (0,) * (n - 1) + ((n - 1) ** (n - 1),)
 
 
-@reported(7, "Lefschetz and fixed-point characters match closed formulas")
 def test_criterion_07_characters():
-    for n in (3, 4):
-        proper = build_pp_poset(n).without_bottom()
+    run_criterion(7, "characters", 4)
+    for n in range(2, 5):
         for perm in class_representatives(n):
             z = perm.num_cycles()
-            value = top_homology_character(n, perm, proper=proper)
-            assert value == (-1) ** (n - z) * (n - 1) ** (z - 1)
-    for n in range(2, 5):
-        for k in range(1, 4):
-            words = list(enumerate_parking_words(n, k))
-            primes = [w for w in words if is_prime_parking_word(w, k)]
-            for perm in class_representatives(n):
-                z = perm.num_cycles()
-                fixed = sum(1 for w in words if word_action(perm, w) == w)
-                assert fixed == (k * n + 1) ** (z - 1)
-                if k == 1:
-                    fixed_prime = sum(
-                        1 for w in primes if word_action(perm, w) == w
-                    )
-                    assert fixed_prime == (n - 1) ** (z - 1)
-                    sign = (-1) ** (n - z)
-                    assert signed_prime_character(n, 1, perm) == sign * fixed_prime
+            assert signed_prime_character(n, 1, perm) == (
+                (-1) ** (n - z) * (n - 1) ** (z - 1)
+            )
+            assert prime_parking_character(n, 1, perm) == (n - 1) ** (z - 1)
+            for k in range(1, 4):
+                assert parking_character(n, k, perm) == (k * n + 1) ** (z - 1)
                 if n == 3:
-                    fixed_prime = sum(
-                        1 for w in primes if word_action(perm, w) == w
-                    )
-                    assert fixed_prime == (k * n - 1) ** (z - 1)
+                    assert prime_parking_character(n, k, perm) == (k * n - 1) ** (z - 1)
 
 
-@reported(8, "species equation, inverse and coefficients to order 6, k<=3")
 def test_criterion_08_series():
-    order = 6
-    x = TruncatedSeries.x(order)
-    t = TruncatedSeries.t(order)
-    one = TruncatedSeries.constant(order, 1)
+    run_criterion(8, "series", 4)
     for k in range(1, 4):
-        series = chain_series(k, order)
-        assert series == (x * (t * series + one) ** k).exp() - one
-        assert log1p_series(order).compose(series) == x * (t * series + one) ** k
-        inverse = chain_inverse_series(k, order)
-        assert series.compose(inverse) == x
-        assert inverse.compose(series) == x
         for n in range(2, 7):
             for l in range(n):
-                assert series_chain_count(n, k, l) == closed_chain_count(n, k, l)
+                assert chain_count(n, k, l) == closed_chain_count(n, k, l)
 
 
-@reported(9, "Prufer and chain bijections round-trip with the action, (3,2)")
 def test_criterion_09_ktrees():
-    n, k = 3, 2
-    trees = list(enumerate_trees(n, k))
-    assert len(trees) == 49
-    perms = [Permutation(p) for p in permutations((1, 2, 3))]
-    seen_chains = set()
-    for tree in trees:
-        blocks, slots, word = ktree_code(tree, k)
-        assert ktree_from_code(n, k, blocks, slots, word) == tree
-        chain = chain_from_ktree(tree, k)
-        seen_chains.add(tuple(chain))
-        assert ktree_from_chain(chain) == tree
-        for perm in perms:
-            assert tree_action(perm, tree) == ktree_from_chain(
-                [e.act(perm) for e in chain]
-            )
-    assert len(seen_chains) == 49
+    run_criterion(9, "k-trees", 4)
+    assert 49 == (2 * 3 + 1) ** (3 - 1)
 
 
-@reported(10, "forest facets, component fibers, cluster Whitney and homology")
 def test_criterion_10_associahedron():
-    for n in range(2, 8):
-        assert len(spanning_facets(n)) == catalan(n - 1)
-    for n in range(2, 6):
-        fibers = {}
-        for face in enumerate_forest_faces(n):
-            fibers.setdefault(forest_components(n, face), 0)
-            fibers[forest_components(n, face)] += 1
-        for partition, size in fibers.items():
-            product = 1
-            for block in partition.blocks:
-                product *= catalan(len(block) - 1)
-            assert size == product
-    for n in (3, 4):
-        cluster = build_cluster_poset(n)
-        signed = build_pp_poset(n).whitney_first()
-        assert cluster.whitney_second() == [
-            (-1) ** l * w for l, w in enumerate(signed)
-        ]
-        betti = reduced_betti(cluster.without_bottom())
-        assert betti == parking_betti(n)
-        assert betti[-1] == (n - 1) ** (n - 1)
+    run_criterion(10, "cluster", 4)
 
 
-@reported(11, "k-divisible counts, Edelman subposets, homology rank 25")
 def test_criterion_11_kdivisible():
-    for n in range(2, 5):
-        for k in range(1, 4):
-            poset = build_ppk_poset(n, k)
-            assert len(poset) == (n * k + 1) ** (n - 1)
-    for n, k in ((2, 2), (3, 2), (2, 3)):
-        chain_poset = build_nck_poset(n, k)
-        subposet = build_divisible_nc_poset(n, k)
-        assert len(subposet) == len(chain_poset)
-        assert subposet.whitney_second() == chain_poset.whitney_second()
-        assert posets_isomorphic(subposet, chain_poset)
-    assert reduced_betti(build_ppk_poset(3, 2).without_bottom()) == (0, 0, 25)
+    run_criterion(11, "k-divisible", 4)
 
 
-@reported(12, "right comb subposet matches the composition face poset, n<=4")
 def test_criterion_12_permutahedron():
+    run_criterion(12, "permutahedron", 4)
     expected_sizes = {2: 3, 3: 13, 4: 75}
-    for n in range(2, 5):
-        comb = right_comb_subposet(n)
-        faces = permutahedron_face_poset(n)
-        assert len(comb) == len(faces) == expected_sizes[n]
-        image = {elem.to_composition() for elem in comb.elements}
-        assert image == set(faces.elements)
-        for a in comb.elements:
-            for b in comb.elements:
-                assert comb.leq(a, b) == faces.leq(
-                    a.to_composition(), b.to_composition()
-                )
+    for n, size in expected_sizes.items():
+        assert size == sum(factorial(j) * stirling2(n, j) for j in range(1, n + 1))

@@ -1,11 +1,13 @@
 """Command line interface: output formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from parkposet import cli
 from parkposet.cli import main
 from parkposet.numbers import catalan
 from parkposet.objects import ParkingElement
@@ -51,6 +53,13 @@ class TestCount:
     def test_bad_rank_rejected(self, capsys):
         code, _ = run(capsys, "count", "--n", "3", "--l", "5")
         assert code == 2
+
+    def test_long_beyond_oracle_leaves_column_empty(self, capsys):
+        code, out = run(capsys, "count", "--n", "7", "--long")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 7
+        assert all(row[4] == "" and row[3] == row[5] for row in rows)
 
 
 class TestConvert:
@@ -146,6 +155,17 @@ class TestPoset:
         code, _ = run(capsys, "poset", "--n", "9")
         assert code == 2
 
+    def test_long_size_six(self):
+        # A separate process, so the 16807-element poset is not kept in
+        # this process's builder cache.
+        result = subprocess.run(
+            [sys.executable, "-m", "parkposet.cli", "poset", "--n", "6", "--long"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert len(json.loads(result.stdout)["elements"]) == 16807
+
 
 class TestShelling:
     def test_report(self, capsys):
@@ -167,6 +187,22 @@ class TestShelling:
     def test_size_guard(self, capsys):
         code, _ = run(capsys, "shelling", "--n", "5")
         assert code == 2
+
+    def test_raising_check_fails_its_entry(self, capsys, monkeypatch):
+        def broken(n):
+            raise ValueError("tied cover keys above element 0")
+
+        monkeypatch.setattr(cli, "verify_shelling", broken)
+        code, out = run(capsys, "shelling", "--n", "3")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        entries = {entry["name"]: entry for entry in data["checks"]}
+        assert entries["shelling"]["ok"] is False
+        assert entries["shelling"]["counterexample"] == (
+            "tied cover keys above element 0"
+        )
+        assert entries["cover_fork"]["ok"] is True
 
 
 class TestHomology:
@@ -253,6 +289,29 @@ class TestVerifyAll:
         _, serial = run(capsys, "verify-all", "--n", "2")
         _, parallel = run(capsys, "verify-all", "--n", "2", "--jobs", "2")
         assert serial == parallel
+
+    def test_jobs_clamped(self, capsys, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert run(capsys, "verify-all", "--n", "2", "--jobs", "64")[0] == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert run(capsys, "verify-all", "--n", "2", "--jobs", "1000")[0] == 0
+        assert sizes == [3, 12]
 
     def test_bounds(self, capsys):
         assert run(capsys, "verify-all", "--n", "9")[0] == 2

@@ -36,7 +36,13 @@ from parkposet.kdivisible import (
     relative_complement_chain,
     weak_chains,
 )
-from parkposet.nc import NoncrossingPartition, Permutation, kreweras, nc_leq
+from parkposet.nc import (
+    NoncrossingPartition,
+    Permutation,
+    class_representatives,
+    kreweras,
+    nc_leq,
+)
 from parkposet.numbers import chain_count, fuss_catalan
 from parkposet.objects import enumerate_elements
 from parkposet.parking_order import build_pp_poset, descend, ideal, pp_leq
@@ -45,13 +51,6 @@ from parkposet.poset import FinitePoset, posets_isomorphic
 
 def all_permutations(n):
     return [Permutation(p) for p in permutations(range(1, n + 1))]
-
-
-def class_representatives(n):
-    seen = {}
-    for perm in all_permutations(n):
-        seen.setdefault(perm.cycle_type(), perm)
-    return list(seen.values())
 
 
 @pytest.fixture(scope="module")
