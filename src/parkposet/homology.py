@@ -197,8 +197,7 @@ def lefschetz_number(
         sub = proper
     else:
         sub = proper.induced(fixed)
-    counts = count_chains_by_size(sub)
-    return -sum((-1) ** s * c for s, c in enumerate(counts))
+    return reduced_euler_characteristic(sub)
 
 
 def top_homology_character(

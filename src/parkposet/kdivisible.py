@@ -23,7 +23,7 @@ being prime, and it is the convention forced by the counting: there are
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .nc import (
     NoncrossingPartition,

@@ -424,40 +424,23 @@ class ParkingElement:
     def is_prime(self) -> bool:
         """True when 1 and n lie in the same block.
 
-        Two further characterizations are evaluated and cross-checked:
-        the word criterion (strictly more than j letters at most j, for
-        every j < n) and the tree criterion (the rightmost child of the
-        root is a leaf).
+        Equivalently, the parking word has strictly more than j letters
+        at most j for every j < n, or the rightmost child of the root of
+        the tree is a leaf; the tests check all three criteria against
+        each other exhaustively for n <= 6.
         """
         if self.n == 0:
             return False
-        by_partition = self.partition.block_of(1) == self.partition.block_of(self.n)
-        w = self.word
-        by_word = all(
-            sum(1 for x in w if x <= j) > j for j in range(1, self.n)
-        )
-        by_tree = self.to_tree().children[-1].is_leaf()
-        if not (by_partition == by_word == by_tree):
-            raise RuntimeError(
-                f"primality criteria disagree on {self!r}: "
-                f"{by_partition}, {by_word}, {by_tree}"
-            )
-        return by_partition
+        return self.partition.block_of(1) == self.partition.block_of(self.n)
 
     # ----- right combs and set compositions -----
 
     def is_right_comb(self) -> bool:
-        """True when every non-rightmost child of every tree node is a
-        leaf; equivalently the partition is an interval partition."""
-        by_tree = all(
-            child.is_leaf()
-            for node in self.to_tree().preorder()
-            for child in node.children[:-1]
-        )
-        by_partition = is_interval_partition(self.partition)
-        if by_tree != by_partition:
-            raise RuntimeError(f"right-comb criteria disagree on {self!r}")
-        return by_tree
+        """True when the partition is an interval partition, or
+        equivalently when every non-rightmost child of every tree node is
+        a leaf; the tests check the two criteria against each other
+        exhaustively for n <= 6."""
+        return is_interval_partition(self.partition)
 
     def to_composition(self) -> tuple[tuple[int, ...], ...]:
         """Read the label sets down the rightmost branch of the tree.

@@ -237,42 +237,33 @@ class FinitePoset:
                     covers.append((self.elements[i], self.elements[j]))
         return FinitePoset([self.elements[i] for i in keep_idx], covers)
 
-    def interval(self, a: Hashable, b: Hashable) -> "FinitePoset":
-        """Closed interval [a, b]; its covers are the restricted covers."""
-        self._ensure_masks()
-        ia, ib = self.index[a], self.index[b]
-        mask = self._upmasks[ia] & self._downmasks[ib]
-        keep = _bits(mask)
-        keep_set = set(keep)
+    def _restrict(self, keep: list[int]) -> "FinitePoset":
+        """Subposet on the kept indices, in increasing order, with the
+        covers among them; callers keep sets on which those are exactly
+        the covers of the subposet."""
+        kept = set(keep)
         covers = [
             (self.elements[i], self.elements[j])
             for i in keep
             for j in self.up[i]
-            if j in keep_set
+            if j in kept
         ]
         return FinitePoset([self.elements[i] for i in keep], covers)
+
+    def interval(self, a: Hashable, b: Hashable) -> "FinitePoset":
+        """Closed interval [a, b]; its covers are the restricted covers."""
+        self._ensure_masks()
+        mask = self._upmasks[self.index[a]] & self._downmasks[self.index[b]]
+        return self._restrict(_bits(mask))
 
     def without_bottom(self) -> "FinitePoset":
         """Drop the unique minimum; remaining covers are unchanged."""
         b = self.index[self.bottom()]
-        keep = [i for i in range(len(self.elements)) if i != b]
-        covers = [
-            (self.elements[i], self.elements[j])
-            for i in keep
-            for j in self.up[i]
-        ]
-        return FinitePoset([self.elements[i] for i in keep], covers)
+        return self._restrict([i for i in range(len(self.elements)) if i != b])
 
     def without_top(self) -> "FinitePoset":
         t = self.index[self.top()]
-        keep = [i for i in range(len(self.elements)) if i != t]
-        covers = [
-            (self.elements[i], self.elements[j])
-            for i in keep
-            for j in self.up[i]
-            if j != t
-        ]
-        return FinitePoset([self.elements[i] for i in keep], covers)
+        return self._restrict([i for i in range(len(self.elements)) if i != t])
 
     # ----- lattice operations -----
 

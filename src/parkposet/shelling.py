@@ -9,6 +9,11 @@ module implements that order, an exhaustive checker for the shelling
 condition, and checkers for the supporting statistics (split block,
 code jump, zero prefix) and their structural properties.
 
+Every check that uses the cover order reads one table of cover keys
+per poset (``_edge_keys``: ``cover_key`` on the parking side,
+``transposition_label`` on the noncrossing side) and one earlier-swap
+test (``_earlier_swap``); both fork lemmas run one loop.
+
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
 """
@@ -16,7 +21,9 @@ Everything here is exhaustive verification on small n; the guards of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cache, partial
+from itertools import combinations, pairwise
+from typing import Callable
 
 from .nc import (
     NoncrossingPartition,
@@ -132,24 +139,46 @@ class ShellingReport:
         return not self.violations
 
 
-def _edge_keys(poset: FinitePoset) -> dict[tuple[int, int], tuple]:
-    """Cover order key for every cover edge not ending at the sentinel top.
+def _edge_keys(poset: FinitePoset, key: Callable) -> dict[tuple[int, int], tuple]:
+    """Cover order key ``key(lower, upper)`` for every cover edge not
+    ending at the sentinel top.
 
     Raises ValueError if two covers of the same element receive the same
     key, since the chain order would then not be total.
     """
+    elements = poset.elements
     keys: dict[tuple[int, int], tuple] = {}
-    per_lower: dict[int, set] = {}
-    for i, j in poset.cover_index_pairs():
-        upper = poset.elements[j]
-        if upper is TOP:
-            continue
-        key = cover_key(poset.elements[i], upper)
-        if key in per_lower.setdefault(i, set()):
-            raise ValueError(f"tied cover keys above element {i}")
-        per_lower[i].add(key)
-        keys[(i, j)] = key
+    for i, ups in enumerate(poset.up):
+        seen = set()
+        for j in ups:
+            if elements[j] is TOP:
+                continue
+            k = key(elements[i], elements[j])
+            if k in seen:
+                raise ValueError(f"tied cover keys above element {i}")
+            seen.add(k)
+            keys[(i, j)] = k
     return keys
+
+
+def _earlier_swap(poset: FinitePoset, keys: dict, x: int, y: int, z: int) -> bool:
+    """Whether some cover of x other than y is covered by z and precedes
+    y in the cover order at x.
+
+    Here x < y < z is a chain of two covers, so in these graded posets a
+    cover of x lies below z exactly when z covers it.
+    """
+    key = keys[(x, y)]
+    return any(keys[(x, w)] < key and poset.leq_index(w, z) for w in poset.up[x])
+
+
+def _sorted_chains(poset: FinitePoset, keys: dict) -> list[tuple[int, ...]]:
+    """Maximal chains of the bounded poset sorted on their edge keys."""
+    index = poset.index
+    chains = [tuple(index[e] for e in chain) for chain in poset.maximal_chains()]
+    # the last edge of every chain runs into the sentinel top and has no key
+    chains.sort(key=lambda c: [keys[(c[t - 1], c[t])] for t in range(1, len(c) - 1)])
+    return chains
 
 
 def sorted_maximal_chains(poset: FinitePoset) -> list[tuple[int, ...]]:
@@ -158,22 +187,10 @@ def sorted_maximal_chains(poset: FinitePoset) -> list[tuple[int, ...]]:
 
     Two chains are compared at the first position where they differ;
     at that position both elements cover the same element, and the
-    cover order there decides.
+    cover order there decides.  Cover keys are injective at each lower
+    element, so sorting on the sequence of edge keys gives that order.
     """
-    index = poset.index
-    chains = [tuple(index[e] for e in chain) for chain in poset.maximal_chains()]
-    keys = _edge_keys(poset)
-
-    def compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        for pos in range(1, len(a)):
-            if a[pos] != b[pos]:
-                ka = keys[(a[pos - 1], a[pos])]
-                kb = keys[(b[pos - 1], b[pos])]
-                return -1 if ka < kb else 1
-        return 0
-
-    chains.sort(key=cmp_to_key(compare))
-    return chains
+    return _sorted_chains(poset, _edge_keys(poset, cover_key))
 
 
 def verify_shelling(n: int) -> ShellingReport:
@@ -190,45 +207,27 @@ def verify_shelling(n: int) -> ShellingReport:
     by grouping chains on their restriction to each occurring D(p).
     """
     poset = build_pp_poset_hat(n)
-    chains = sorted_maximal_chains(poset)
-    cover_set = set(poset.cover_index_pairs())
-    keys = _edge_keys(poset)
+    keys = _edge_keys(poset, cover_key)
+    chains = _sorted_chains(poset, keys)
 
-    wedge_cache: dict[tuple[int, int, int], bool] = {}
-
-    def has_earlier_swap(below: int, mid: int, above: int) -> bool:
-        triple = (below, mid, above)
-        if triple not in wedge_cache:
-            mid_key = keys[(below, mid)]
-            wedge_cache[triple] = any(
-                psi != mid
-                and (psi, above) in cover_set
-                and keys[(below, psi)] < mid_key
-                for psi in poset.up[below]
-            )
-        return wedge_cache[triple]
-
-    descent_sets = []
-    for chain in chains:
-        positions = tuple(
+    # chains share most wedges x < y < z, so each is tested once
+    has_earlier_swap = cache(partial(_earlier_swap, poset, keys))
+    descent_sets = [
+        tuple(
             pos
             for pos in range(1, len(chain) - 1)
-            if has_earlier_swap(chain[pos - 1], chain[pos], chain[pos + 1])
+            if has_earlier_swap(*chain[pos - 1 : pos + 2])
         )
-        descent_sets.append(positions)
+        for chain in chains
+    ]
 
     report = ShellingReport(n=n, num_chains=len(chains))
     for positions in set(descent_sets):
         first_seen: dict[tuple[int, ...], int] = {}
         for rank, chain in enumerate(chains):
             projection = tuple(chain[pos] for pos in positions)
-            if projection not in first_seen:
-                first_seen[projection] = rank
-        for rank, chain in enumerate(chains):
-            if descent_sets[rank] != positions:
-                continue
-            earlier = first_seen[tuple(chain[pos] for pos in positions)]
-            if earlier < rank:
+            earlier = first_seen.setdefault(projection, rank)
+            if descent_sets[rank] == positions and earlier < rank:
                 report.violations.append((chains[earlier], chain))
     return report
 
@@ -251,6 +250,44 @@ class ForkReport:
         return not self.violations
 
 
+def _verify_fork(
+    n: int,
+    poset: FinitePoset,
+    key: Callable,
+    join: Callable[[int, int], int | None],
+) -> ForkReport:
+    """The fork check of ``verify_fork_lemma`` on a poset whose covers
+    are ordered by ``key``; ``join`` maps two indices to the index of
+    their join, or None when they have no join in the poset."""
+    keys = _edge_keys(poset, key)
+    elements = poset.elements
+    up = poset.up
+    report = ForkReport(n=n)
+    for x, ups in enumerate(up):
+        for y in ups:
+            earlier = [yp for yp in ups if keys[(x, yp)] < keys[(x, y)]]
+            if not earlier:
+                continue
+            for z in up[y]:
+                report.checked += len(earlier)
+                if _earlier_swap(poset, keys, x, y, z):
+                    report.replaced_middle += len(earlier)
+                    continue
+                for yp in earlier:
+                    top = join(yp, z)
+                    if any(
+                        keys[(y, zp)] < keys[(y, z)]
+                        and (top is None or poset.leq_index(zp, top))
+                        for zp in up[y]
+                    ):
+                        report.raised_top += 1
+                    else:
+                        report.violations.append(
+                            (elements[x], elements[y], elements[yp], elements[z])
+                        )
+    return report
+
+
 def verify_fork_lemma(n: int) -> ForkReport:
     """Check the two-branch fork property of the cover order.
 
@@ -266,44 +303,12 @@ def verify_fork_lemma(n: int) -> ForkReport:
     branches are exercised for n >= 4.
     """
     poset = build_pp_poset(n)
-    elements = poset.elements
-    up = poset.up
-    cover_set = set(poset.cover_index_pairs())
 
-    report = ForkReport(n=n)
-    for x in range(len(elements)):
-        ups = up[x]
-        keys = {y: cover_key(elements[x], elements[y]) for y in ups}
-        for y in ups:
-            earlier = [yp for yp in ups if keys[yp] < keys[y]]
-            if not earlier:
-                continue
-            y_keys = {z: cover_key(elements[y], elements[z]) for z in up[y]}
-            for z in up[y]:
-                middle = [
-                    ypp
-                    for ypp in ups
-                    if (ypp, z) in cover_set and keys[ypp] < keys[y]
-                ]
-                for yp in earlier:
-                    report.checked += 1
-                    if middle:
-                        report.replaced_middle += 1
-                        continue
-                    join = pp_join(elements[yp], elements[z])
-                    join_idx = None if join is TOP else poset.index[join]
-                    found = any(
-                        y_keys[zp] < y_keys[z]
-                        and (join_idx is None or poset.leq_index(zp, join_idx))
-                        for zp in up[y]
-                    )
-                    if found:
-                        report.raised_top += 1
-                    else:
-                        report.violations.append(
-                            (elements[x], elements[y], elements[yp], elements[z])
-                        )
-    return report
+    def join(i: int, j: int) -> int | None:
+        top = pp_join(poset.elements[i], poset.elements[j])
+        return None if top is TOP else poset.index[top]
+
+    return _verify_fork(n, poset, cover_key, join)
 
 
 # ----- structural properties of the statistics -----
@@ -388,32 +393,23 @@ def check_split_diamond(n: int) -> int:
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
-        for s in range(len(ups)):
-            for t in range(s + 1, len(ups)):
-                a, b = elements[ups[s]], elements[ups[t]]
-                if split_block(base, a) == split_block(base, b):
-                    continue
-                checked += 1
-                join = pp_join(a, b)
-                if join is TOP or join.rank != base.rank + 2:
-                    raise ValueError(f"diamond join fails over {base}")
-                j = poset.index[join]
-                between = {
-                    k
-                    for k in range(len(elements))
-                    if k not in (x, j)
-                    and poset.leq_index(x, k)
-                    and poset.leq_index(k, j)
-                }
-                if between != {ups[s], ups[t]}:
-                    raise ValueError(f"diamond interval fails over {base}")
-                if code_jump(base, a) != code_jump(b, join) or code_jump(
-                    base, b
-                ) != code_jump(a, join):
-                    raise ValueError(f"diamond code jumps fail over {base}")
-                ja, jb = code_jump(base, a), code_jump(base, b)
-                if ja == jb and ja != 0:
-                    raise ValueError(f"equal nonzero jumps over {base}")
+        for s, t in combinations(ups, 2):
+            a, b = elements[s], elements[t]
+            if split_block(base, a) == split_block(base, b):
+                continue
+            checked += 1
+            join = pp_join(a, b)
+            if join is TOP or join.rank != base.rank + 2:
+                raise ValueError(f"diamond join fails over {base}")
+            j = poset.index[join]
+            diamond = 1 << x | 1 << s | 1 << t | 1 << j
+            if poset.upset_mask(x) & poset.downset_mask(j) != diamond:
+                raise ValueError(f"diamond interval fails over {base}")
+            ja, jb = code_jump(base, a), code_jump(base, b)
+            if ja != code_jump(b, join) or jb != code_jump(a, join):
+                raise ValueError(f"diamond code jumps fail over {base}")
+            if ja == jb and ja != 0:
+                raise ValueError(f"equal nonzero jumps over {base}")
     return checked
 
 
@@ -428,30 +424,29 @@ def check_same_block_jump_bound(n: int) -> int:
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
-        for s in range(len(ups)):
-            for t in range(s + 1, len(ups)):
-                a, b = elements[ups[s]], elements[ups[t]]
-                if split_block(base, a) != split_block(base, b):
-                    continue
-                join = pp_join(a, b)
-                if join is TOP:
-                    continue
-                bound = max(code_jump(base, a), code_jump(base, b))
-                j = poset.index[join]
-                inside = [
-                    u
-                    for u in range(len(elements))
-                    if poset.leq_index(x, u) and poset.leq_index(u, j)
-                ]
-                for u in inside:
-                    for v in poset.up[u]:
-                        if not poset.leq_index(v, j):
-                            continue
-                        checked += 1
-                        if code_jump(elements[u], elements[v]) > bound:
-                            raise ValueError(
-                                f"jump bound fails over {base} with {a}, {b}"
-                            )
+        for s, t in combinations(ups, 2):
+            a, b = elements[s], elements[t]
+            if split_block(base, a) != split_block(base, b):
+                continue
+            join = pp_join(a, b)
+            if join is TOP:
+                continue
+            bound = max(code_jump(base, a), code_jump(base, b))
+            j = poset.index[join]
+            inside = [
+                u
+                for u in range(len(elements))
+                if poset.leq_index(x, u) and poset.leq_index(u, j)
+            ]
+            for u in inside:
+                for v in poset.up[u]:
+                    if not poset.leq_index(v, j):
+                        continue
+                    checked += 1
+                    if code_jump(elements[u], elements[v]) > bound:
+                        raise ValueError(
+                            f"jump bound fails over {base} with {a}, {b}"
+                        )
     return checked
 
 
@@ -463,15 +458,12 @@ def check_minimal_jump_grows(n: int) -> int:
     poset = build_pp_poset(n)
     elements = poset.elements
     up = poset.up
-    cover_set = set(poset.cover_index_pairs())
+    keys = _edge_keys(poset, cover_key)
     checked = 0
     for x in range(len(elements)):
-        keys = {y: cover_key(elements[x], elements[y]) for y in up[x]}
         for y in up[x]:
             for z in up[y]:
-                if any(
-                    (yp, z) in cover_set and keys[yp] < keys[y] for yp in up[x]
-                ):
+                if _earlier_swap(poset, keys, x, y, z):
                     continue
                 checked += 1
                 if code_jump(elements[x], elements[y]) > code_jump(
@@ -499,8 +491,6 @@ def check_jump_code_compatible(n: int) -> int:
                 checked += 1
                 ms, mt = code_jump(base, elements[s]), code_jump(base, elements[t])
                 cs, ct = element_code(elements[s]), element_code(elements[t])
-                if ms < mt and not cs < ct:
-                    raise ValueError(f"jump and code disagree above {base}")
                 if ms != mt and (ms < mt) != (cs < ct):
                     raise ValueError(f"jump and code disagree above {base}")
     return checked
@@ -518,15 +508,8 @@ def check_nc_el_labeling(n: int) -> int:
     """
     poset = build_nc_poset(n)
     elements = poset.elements
-    labels: dict[tuple[int, int], tuple[int, int]] = {}
-    per_lower: dict[int, set] = {}
-    for i, j in poset.cover_index_pairs():
-        lab = transposition_label(elements[i], elements[j])
-        if lab in per_lower.setdefault(i, set()):
-            raise ValueError(f"repeated label above {elements[i]}")
-        per_lower[i].add(lab)
-        labels[(i, j)] = lab
-
+    index = poset.index
+    labels = _edge_keys(poset, transposition_label)
     checked = 0
     for a in range(len(elements)):
         for b in range(len(elements)):
@@ -534,12 +517,10 @@ def check_nc_el_labeling(n: int) -> int:
                 continue
             checked += 1
             interval = poset.interval(elements[a], elements[b])
-            sequences = []
-            for chain in interval.maximal_chains():
-                idx = [poset.index[e] for e in chain]
-                sequences.append(
-                    tuple(labels[(idx[t], idx[t + 1])] for t in range(len(idx) - 1))
-                )
+            sequences = [
+                tuple(labels[(index[lo], index[hi])] for lo, hi in pairwise(chain))
+                for chain in interval.maximal_chains()
+            ]
             increasing = [
                 seq
                 for seq in sequences
@@ -556,41 +537,7 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     """The fork property also holds in the noncrossing lattice, with
     covers ordered by their transposition labels."""
     poset = build_nc_poset(n)
-    elements = poset.elements
-    up = poset.up
-    cover_set = set(poset.cover_index_pairs())
-
-    report = ForkReport(n=n)
-    for x in range(len(elements)):
-        keys = {y: transposition_label(elements[x], elements[y]) for y in up[x]}
-        for y in up[x]:
-            earlier = [yp for yp in up[x] if keys[yp] < keys[y]]
-            if not earlier:
-                continue
-            y_keys = {z: transposition_label(elements[y], elements[z]) for z in up[y]}
-            for z in up[y]:
-                middle = [
-                    ypp
-                    for ypp in up[x]
-                    if (ypp, z) in cover_set and keys[ypp] < keys[y]
-                ]
-                for yp in earlier:
-                    report.checked += 1
-                    if middle:
-                        report.replaced_middle += 1
-                        continue
-                    join = poset.join_index(yp, z)
-                    found = any(
-                        y_keys[zp] < y_keys[z] and poset.leq_index(zp, join)
-                        for zp in up[y]
-                    )
-                    if found:
-                        report.raised_top += 1
-                    else:
-                        report.violations.append(
-                            (elements[x], elements[y], elements[yp], elements[z])
-                        )
-    return report
+    return _verify_fork(n, poset, transposition_label, poset.join_index)
 
 
 # ----- failure of the recursive atom ordering criterion -----

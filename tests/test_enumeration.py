@@ -26,7 +26,6 @@ from parkposet.objects import (
     enumerate_trees,
     is_parking_word,
     tree_from_word,
-    word_from_tree,
 )
 from parkposet.parking_order import build_pp_poset, pp_leq
 

@@ -41,10 +41,8 @@ from parkposet.nc import (
     Permutation,
     class_representatives,
     kreweras,
-    nc_leq,
 )
 from parkposet.numbers import chain_count, fuss_catalan
-from parkposet.objects import enumerate_elements
 from parkposet.parking_order import build_pp_poset, descend, ideal, pp_leq
 from parkposet.poset import FinitePoset, posets_isomorphic
 

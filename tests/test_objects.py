@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkposet.nc import NoncrossingPartition, Permutation
+from parkposet.enumeration import is_prime_parking_word
+from parkposet.nc import Permutation
 from parkposet.numbers import stirling2
 from parkposet.objects import (
     ParkingElement,
@@ -269,6 +270,19 @@ def test_prime_count(n):
 def test_right_comb_count_is_fubini(n):
     count = sum(1 for e in all_elements(n) if e.is_right_comb())
     assert count == sum(math.factorial(k) * stirling2(n, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_prime_and_right_comb_criteria_agree(n):
+    # the methods read the partition only; the word and tree criteria
+    # are the independent routes
+    for e in enumerate_elements(n):
+        tree = e.to_tree()
+        by_tree = tree.children[-1].is_leaf()
+        assert e.is_prime() == is_prime_parking_word(e.word) == by_tree
+        assert e.is_right_comb() == all(
+            child.is_leaf() for node in tree.preorder() for child in node.children[:-1]
+        )
 
 
 def test_composition_bridge_roundtrip():

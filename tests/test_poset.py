@@ -1,7 +1,6 @@
 """Poset kernel plus the order structure of the parking poset."""
 
 import math
-from itertools import permutations as iperm
 
 import pytest
 from hypothesis import given

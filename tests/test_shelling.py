@@ -2,21 +2,25 @@
 condition, and the cover statistics supporting it."""
 
 import math
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkposet import shelling
 from parkposet.nc import NoncrossingPartition, Permutation
 from parkposet.objects import ParkingElement
 from parkposet.parking_order import (
     TOP,
+    build_nc_poset,
     build_pp_poset,
     build_pp_poset_hat,
     element_from_block_labels,
     upper_covers,
 )
 from parkposet.shelling import (
+    _edge_keys,
     check_code_monotone,
     check_equal_code_join,
     check_jump_code_compatible,
@@ -150,15 +154,70 @@ def test_fork_lemma_both_branches():
     rep4 = verify_fork_lemma(4)
     assert rep4.ok
     assert rep4.checked == 3798
-    assert rep4.replaced_middle > 0
-    assert rep4.raised_top > 0
+    assert (rep4.replaced_middle, rep4.raised_top) == (3122, 676)
 
 
 def test_nc_fork_lemma():
-    for n in (3, 4, 5):
+    counts = {3: (3, 3, 0), 4: (54, 48, 6), 5: (534, 447, 87)}
+    for n, expected in counts.items():
         rep = verify_nc_fork_lemma(n)
         assert rep.ok
-        assert rep.checked > 0
+        assert (rep.checked, rep.replaced_middle, rep.raised_top) == expected
+
+
+# ----- one cover key per cover -----
+
+
+def reference_chain_order(poset):
+    """The chain order by pairwise comparison: at the first position
+    where two chains differ, the cover order at the common lower element
+    decides."""
+    chains = [tuple(poset.index[e] for e in c) for c in poset.maximal_chains()]
+
+    def compare(a, b):
+        for pos in range(1, len(a)):
+            if a[pos] != b[pos]:
+                lower = poset.elements[a[pos - 1]]
+                ka = cover_key(lower, poset.elements[a[pos]])
+                kb = cover_key(lower, poset.elements[b[pos]])
+                return -1 if ka < kb else 1
+        return 0
+
+    return sorted(chains, key=cmp_to_key(compare))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_chain_sort_matches_pairwise_comparison(n):
+    poset = build_pp_poset_hat(n)
+    assert sorted_maximal_chains(poset) == reference_chain_order(poset)
+
+
+@pytest.mark.parametrize(
+    "check,name,n,covers",
+    [
+        (verify_shelling, "cover_key", 3, 27),
+        (verify_fork_lemma, "cover_key", 3, 27),
+        (verify_nc_fork_lemma, "transposition_label", 4, 28),
+    ],
+)
+def test_one_key_per_cover(monkeypatch, check, name, n, covers):
+    # covers counts the covers of the poset the check builds, leaving out
+    # those into the sentinel top
+    original = getattr(shelling, name)
+    calls = []
+
+    def counted(lower, upper):
+        calls.append((lower, upper))
+        return original(lower, upper)
+
+    monkeypatch.setattr(shelling, name, counted)
+    assert check(n).ok
+    assert len(calls) == len(set(calls)) == covers
+
+
+def test_tied_cover_keys_rejected():
+    with pytest.raises(ValueError, match="tied cover keys above element 0"):
+        _edge_keys(build_nc_poset(3), lambda lower, upper: 0)
 
 
 def test_nc_el_property():
