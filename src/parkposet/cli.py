@@ -15,7 +15,8 @@ Conventions: CSV output has a header row and LF line endings, JSON is
 dumped with sorted keys, DOT node labels are parking words.  Identical
 invocations produce byte-identical output.  Sizes above the default
 budget need --long.  Exit status is 0 on success, 1 when a requested
-verification fails, and 2 on argument errors.
+verification fails or a computation raises ValueError or RuntimeError
+(a broken invariant), and 2 on argument errors.
 """
 
 from __future__ import annotations
@@ -161,25 +162,28 @@ def _cycle_type_label(perm: Permutation) -> str:
 
 
 def _parse_element(kind: str, text: str) -> ParkingElement:
-    if kind == "word":
-        stripped = text.strip()
-        if stripped and all(c.isdigit() for c in stripped):
-            return ParkingElement.from_word([int(c) for c in stripped])
-        data = json.loads(stripped)
-        return ParkingElement.from_word([int(x) for x in data])
-    data = json.loads(text)
-    if kind == "tree":
-        return ParkingElement.from_tree(Tree.from_json(data))
-    if kind == "pair":
-        sigma = Permutation([int(x) for x in data["sigma"]])
-        partition = NoncrossingPartition(sigma.n, data["partition"])
-        return ParkingElement(partition, sigma)
-    if kind == "triple":
-        blocks = data["partition"]
-        n = sum(len(b) for b in blocks)
-        return ParkingElement.from_triple(
-            NoncrossingPartition(n, blocks), data["labels"]
-        )
+    try:
+        if kind == "word":
+            stripped = text.strip()
+            if stripped and all(c.isdigit() for c in stripped):
+                return ParkingElement.from_word([int(c) for c in stripped])
+            data = json.loads(stripped)
+            return ParkingElement.from_word([int(x) for x in data])
+        data = json.loads(text)
+        if kind == "tree":
+            return ParkingElement.from_tree(Tree.from_json(data))
+        if kind == "pair":
+            sigma = Permutation([int(x) for x in data["sigma"]])
+            partition = NoncrossingPartition(sigma.n, data["partition"])
+            return ParkingElement(partition, sigma)
+        if kind == "triple":
+            blocks = data["partition"]
+            n = sum(len(b) for b in blocks)
+            return ParkingElement.from_triple(
+                NoncrossingPartition(n, blocks), data["labels"]
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CommandError(f"bad {kind} input: {exc}") from exc
     raise CommandError(f"unknown representation {kind!r}")
 
 
@@ -853,9 +857,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

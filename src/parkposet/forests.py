@@ -35,7 +35,7 @@ from typing import Iterable
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .objects import ParkingElement, enumerate_elements
-from .parking_order import pp_leq
+from .parking_order import build_pp_poset, pp_leq
 from .poset import FinitePoset
 
 Edge = tuple[int, int]
@@ -208,7 +208,13 @@ def cluster_leq(
 
 def build_cluster_poset(n: int) -> FinitePoset:
     """The cluster parking poset, covers computed from the full order."""
-    return FinitePoset.from_leq(cluster_elements(n), cluster_leq)
+    pairs = cluster_elements(n)
+    pp = build_pp_poset(n)
+    ids = [pp.index[elem] for _, elem in pairs]
+    below = [pp.downset_mask(t) for t in ids]
+    return FinitePoset.from_leq(
+        pairs, lambda i, j: below[j] >> ids[i] & 1 and pairs[i][0] <= pairs[j][0]
+    )
 
 
 def cluster_action(

@@ -32,27 +32,6 @@ from .poset import FinitePoset
 # ----- strict chains -----
 
 
-def _strict_down_lists(poset: FinitePoset) -> list[list[int]]:
-    """For each element index, the indices strictly below it."""
-    out = []
-    for i in range(len(poset)):
-        mask = poset.downset_mask(i) & ~(1 << i)
-        below = []
-        while mask:
-            low = mask & -mask
-            below.append(low.bit_length() - 1)
-            mask ^= low
-        out.append(below)
-    return out
-
-
-def _increasing_order(poset: FinitePoset) -> list[int]:
-    """A linear extension: sort indices by the size of their downsets."""
-    return sorted(
-        range(len(poset)), key=lambda i: bin(poset.downset_mask(i)).count("1")
-    )
-
-
 def count_chains_by_size(poset: FinitePoset) -> list[int]:
     """Numbers of strict chains with s elements, for s = 0, 1, ..., height+1.
 
@@ -61,12 +40,14 @@ def count_chains_by_size(poset: FinitePoset) -> list[int]:
     number of faces of dimension s - 1.
     """
     m = len(poset)
-    below = _strict_down_lists(poset)
+    below = poset.down_lists()
     size_cap = poset.height() + 2 if m else 1
     ending = [[0] * size_cap for _ in range(m)]
-    for i in _increasing_order(poset):
+    for i in poset.linear_extension:
         ending[i][1] = 1
         for j in below[i]:
+            if j == i:
+                continue
             row = ending[j]
             for s in range(1, size_cap - 1):
                 ending[i][s + 1] += row[s]
@@ -87,12 +68,13 @@ def chains_by_size(poset: FinitePoset) -> list[list[tuple[int, ...]]]:
     empty chain.  Sizes with no chains at the tail are trimmed.
     """
     m = len(poset)
-    below = _strict_down_lists(poset)
+    below = poset.down_lists()
     ending: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for i in _increasing_order(poset):
+    for i in poset.linear_extension:
         chains = [(i,)]
         for j in below[i]:
-            chains.extend(ch + (i,) for ch in ending[j])
+            if j != i:
+                chains.extend(ch + (i,) for ch in ending[j])
         ending[i] = chains
     layers: list[list[tuple[int, ...]]] = [[()]]
     for chains in ending:

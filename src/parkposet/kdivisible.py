@@ -33,7 +33,7 @@ from .nc import (
     relative_kreweras,
 )
 from .objects import ParkingElement, enumerate_elements
-from .parking_order import pp_leq
+from .parking_order import build_nc_poset, build_pp_poset, pp_leq
 from .poset import FinitePoset
 
 
@@ -73,7 +73,7 @@ def relative_complement_chain(
 
 def nck_elements(n: int, k: int) -> list[tuple[NoncrossingPartition, ...]]:
     """Weak k-chains of noncrossing partitions; Fuss-Catalan many."""
-    return weak_chains(list(enumerate_noncrossing(n)), nc_leq, k)
+    return weak_chains(list(enumerate_noncrossing(n)), build_nc_poset(n).leq, k)
 
 
 def nck_leq(
@@ -88,19 +88,22 @@ def nck_leq(
 
 
 def build_nck_poset(n: int, k: int) -> FinitePoset:
-    """Poset of k-divisible noncrossing partitions in the chain picture."""
+    """Poset of k-divisible noncrossing partitions in the chain picture,
+    comparing relative complements by their NC_n ids."""
     chains = nck_elements(n, k)
-    nu = {c: relative_complement_chain(n, c) for c in chains}
-
-    def leq(a, b):
-        return all(nc_leq(nb, na) for na, nb in zip(nu[a], nu[b]))
-
-    return FinitePoset.from_leq(chains, leq)
+    nc = build_nc_poset(n)
+    nu = [[nc.index[p] for p in relative_complement_chain(n, c)] for c in chains]
+    below = [[nc.downset_mask(p) for p in vector] for vector in nu]
+    return FinitePoset.from_leq(
+        chains, lambda i, j: all(d >> p & 1 for d, p in zip(below[i], nu[j]))
+    )
 
 
 def ppk_elements(n: int, k: int) -> list[tuple[ParkingElement, ...]]:
     """Weak k-chains of the parking function poset; (kn+1)^(n-1) many."""
-    return weak_chains(list(enumerate_elements(n)), pp_leq, k)
+    pp = build_pp_poset(n)
+    ids = weak_chains([pp.index[e] for e in enumerate_elements(n)], pp.leq_index, k)
+    return [tuple(pp.elements[i] for i in chain) for chain in ids]
 
 
 def ppk_leq(
@@ -115,19 +118,19 @@ def ppk_leq(
 
 
 def build_ppk_poset(n: int, k: int) -> FinitePoset:
-    """Poset of k-divisible noncrossing 2-partitions in the chain picture."""
+    """Poset of k-divisible noncrossing 2-partitions in the chain picture:
+    last elements compare by their build_pp_poset ids, underlying
+    noncrossing chains by their build_nck_poset ids."""
     chains = ppk_elements(n, k)
-    nu = {
-        c: relative_complement_chain(n, [x.partition for x in c])
-        for c in chains
-    }
-
-    def leq(a, b):
-        if not pp_leq(a[-1], b[-1]):
-            return False
-        return all(nc_leq(nb, na) for na, nb in zip(nu[a], nu[b]))
-
-    return FinitePoset.from_leq(chains, leq)
+    pp, nck = build_pp_poset(n), build_nck_poset(n, k)
+    tops = [pp.index[c[-1]] for c in chains]
+    ncs = [nck.index[tuple(x.partition for x in c)] for c in chains]
+    tops_below = [pp.downset_mask(t) for t in tops]
+    ncs_below = [nck.downset_mask(c) for c in ncs]
+    return FinitePoset.from_leq(
+        chains,
+        lambda i, j: tops_below[j] >> tops[i] & 1 and ncs_below[j] >> ncs[i] & 1,
+    )
 
 
 def ppk_action(
@@ -162,7 +165,8 @@ def divisible_nc_elements(n: int, k: int) -> list[NoncrossingPartition]:
 def build_divisible_nc_poset(n: int, k: int) -> FinitePoset:
     """Subposet of the noncrossing partition lattice of [kn] on the
     k-divisible elements; isomorphic to the chain picture."""
-    return FinitePoset.from_leq(divisible_nc_elements(n, k), nc_leq)
+    elements = divisible_nc_elements(n, k)
+    return FinitePoset.from_leq(elements, lambda i, j: nc_leq(elements[i], elements[j]))
 
 
 def divisible_parking_elements(n: int, k: int) -> list[ParkingElement]:
@@ -181,4 +185,5 @@ def build_divisible_parking_poset(n: int, k: int) -> FinitePoset:
     picture; the two are related through their permutation characters
     (see the module docstring).
     """
-    return FinitePoset.from_leq(divisible_parking_elements(n, k), pp_leq)
+    elements = divisible_parking_elements(n, k)
+    return FinitePoset.from_leq(elements, lambda i, j: pp_leq(elements[i], elements[j]))

@@ -33,7 +33,7 @@ class FinitePoset:
             down_sets[ib].add(ia)
         self.up = [sorted(s) for s in up_sets]
         self.down = [sorted(s) for s in down_sets]
-        self._topo = self._toposort()
+        self.linear_extension = self._toposort()
         self._downmasks: list[int] | None = None
         self._upmasks: list[int] | None = None
         self._downlists: list[list[int]] | None = None
@@ -65,13 +65,13 @@ class FinitePoset:
             return
         m = len(self.elements)
         down = [0] * m
-        for i in self._topo:
+        for i in self.linear_extension:
             mask = 1 << i
             for j in self.down[i]:
                 mask |= down[j]
             down[i] = mask
         upm = [0] * m
-        for i in reversed(self._topo):
+        for i in reversed(self.linear_extension):
             mask = 1 << i
             for j in self.up[i]:
                 mask |= upm[j]
@@ -94,7 +94,8 @@ class FinitePoset:
         self._ensure_masks()
         return self._upmasks[i]
 
-    def _down_lists(self) -> list[list[int]]:
+    def down_lists(self) -> list[list[int]]:
+        """For each index, the indices at or below it, increasing."""
         if self._downlists is None:
             self._ensure_masks()
             self._downlists = [_bits(mask) for mask in self._downmasks]
@@ -126,7 +127,7 @@ class FinitePoset:
         if self._ranks is None:
             m = len(self.elements)
             rank = [0] * m
-            for i in self._topo:
+            for i in self.linear_extension:
                 if self.down[i]:
                     values = {rank[j] + 1 for j in self.down[i]}
                     if len(values) != 1:
@@ -148,10 +149,10 @@ class FinitePoset:
     def mobius_from_bottom(self) -> dict[Hashable, int]:
         """mu(bottom, x) for every x, by rank-ordered recursion."""
         bottom_i = self.index[self.bottom()]
-        down_lists = self._down_lists()
+        down_lists = self.down_lists()
         mu = [0] * len(self.elements)
         mu[bottom_i] = 1
-        for i in self._topo:
+        for i in self.linear_extension:
             if i == bottom_i:
                 continue
             mu[i] = -sum(mu[j] for j in down_lists[i] if j != i)
@@ -179,7 +180,7 @@ class FinitePoset:
 
     def _multichains_ending_at(self, k: int) -> list[int]:
         """Per element x, the number of multichains x_1 <= ... <= x_k = x."""
-        down_lists = self._down_lists()
+        down_lists = self.down_lists()
         vec = [1] * len(self.elements)
         for _ in range(k - 1):
             vec = [sum(vec[j] for j in down_lists[i]) for i in range(len(vec))]
@@ -199,7 +200,7 @@ class FinitePoset:
 
     def count_maximal_chains(self) -> int:
         paths = [0] * len(self.elements)
-        for i in reversed(self._topo):
+        for i in reversed(self.linear_extension):
             paths[i] = sum(paths[j] for j in self.up[i]) if self.up[i] else 1
         return sum(paths[i] for i in self.minimal_indices())
 
@@ -334,9 +335,10 @@ class FinitePoset:
     def from_leq(
         cls,
         elements: Sequence[Hashable],
-        leq: Callable[[Hashable, Hashable], bool],
+        leq: Callable[[int, int], bool],
     ) -> "FinitePoset":
-        """Build a poset from a comparison oracle by computing the full
+        """Build a poset from a comparison oracle on indices, leq(i, j)
+        being whether elements[i] <= elements[j], by computing the full
         relation and reducing it to covers.  Quadratic in the number of
         elements with a cubic bit-parallel reduction; meant for posets of
         up to a few thousand elements."""
@@ -346,7 +348,7 @@ class FinitePoset:
         up = [1 << i for i in range(m)]
         for i in range(m):
             for j in range(m):
-                if i != j and leq(elements[j], elements[i]):
+                if i != j and leq(j, i):
                     down[i] |= 1 << j
                     up[j] |= 1 << i
         covers = []

@@ -42,7 +42,7 @@ from .parking_order import (
     pp_join,
     upper_covers,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits
 
 # ----- cover statistics -----
 
@@ -369,15 +369,15 @@ def check_zero_prefix_join(n: int) -> int:
     number of pairs with a proper join."""
     poset = build_pp_poset(n)
     elements = poset.elements
+    prefix = [element_zero_prefix(e) for e in elements]
     checked = 0
     for i, a in enumerate(elements):
-        for b in elements[i + 1 :]:
+        for j, b in enumerate(elements[i + 1 :], i + 1):
             join = pp_join(a, b)
             if join is TOP:
                 continue
             checked += 1
-            expected = min(element_zero_prefix(a), element_zero_prefix(b))
-            if element_zero_prefix(join) != expected:
+            if prefix[poset.index[join]] != min(prefix[i], prefix[j]):
                 raise ValueError(f"zero prefix of join of {a} and {b} is off")
     return checked
 
@@ -432,15 +432,10 @@ def check_same_block_jump_bound(n: int) -> int:
             if join is TOP:
                 continue
             bound = max(code_jump(base, a), code_jump(base, b))
-            j = poset.index[join]
-            inside = [
-                u
-                for u in range(len(elements))
-                if poset.leq_index(x, u) and poset.leq_index(u, j)
-            ]
-            for u in inside:
+            inside = poset.upset_mask(x) & poset.downset_mask(poset.index[join])
+            for u in _bits(inside):
                 for v in poset.up[u]:
-                    if not poset.leq_index(v, j):
+                    if not inside >> v & 1:
                         continue
                     checked += 1
                     if code_jump(elements[u], elements[v]) > bound:

@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,20 @@ class TestConvert:
         code, _ = run(
             capsys, "convert", "--from", "word", "--to", "tree",
             "--input", "99",
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "source,text",
+        [
+            ("pair", "{"),
+            ("pair", "{}"),
+            ("triple", '{"partition": [[1, 3], [2, 4]], "labels": [[1], [2]]}'),
+        ],
+    )
+    def test_malformed_input_is_an_argument_error(self, capsys, source, text):
+        code, _ = run(
+            capsys, "convert", "--from", source, "--to", "word", "--input", text
         )
         assert code == 2
 
@@ -275,6 +290,40 @@ class TestKdivisible:
     def test_budget_guard(self, capsys):
         code, _ = run(capsys, "kdivisible", "--n", "5", "--k", "2")
         assert code == 2
+
+    def test_broken_invariant_exits_1(self, capsys, monkeypatch):
+        def broken(n, k):
+            raise ValueError("poset is not graded at element 0")
+
+        monkeypatch.setattr(cli, "build_ppk_poset", broken)
+        code, _ = run(capsys, "kdivisible", "--n", "3", "--k", "2")
+        assert code == 1
+
+
+# sha256 of the DOT exports of the derived posets: their element order
+# and cover lists are part of the output contract.
+DERIVED_DOT_DIGESTS = {
+    ("kdivisible", "--n", "3", "--k", "2"): (
+        "0e01bed6f1be770465c5e3ff6a66a43b6ac455e054cbcde2c1eb40065676310d"
+    ),
+    ("kdivisible", "--n", "3", "--k", "3"): (
+        "de85d4bac7f27e876fe33fe8b69c0989de5f3e822463415e93095b378a2381a9"
+    ),
+    ("cluster", "--n", "3"): (
+        "6890340939e27b590fa4c8a2a518e70675f8ab0f564868a26b3d6bbc9c816150"
+    ),
+    ("cluster", "--n", "4"): (
+        "304c8b031643019459ce3b7340e2a81ac9536f19fd3c6c55323acde3a1fdccc6"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DERIVED_DOT_DIGESTS))
+def test_derived_dot_export_digest(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DERIVED_DOT_DIGESTS[argv]
 
 
 class TestVerifyAll:

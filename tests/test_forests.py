@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from parkposet import forests
 from parkposet.forests import (
     boundary_faces,
     build_cluster_poset,
@@ -251,6 +252,21 @@ class TestClusterPoset:
             perm = Permutation(word)
             image = {cluster_action(perm, pair) for pair in elements}
             assert image == elements
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cluster_leq_matches_poset(self, n):
+        poset = build_cluster_poset(n)
+        for a in poset.elements:
+            for b in poset.elements:
+                assert cluster_leq(a, b) == poset.leq(a, b)
+
+    def test_builder_compares_base_poset_ids(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rich comparator called")
+
+        monkeypatch.setattr(forests, "pp_leq", refuse)
+        monkeypatch.setattr(forests, "cluster_leq", refuse)
+        assert len(build_cluster_poset(3)) == 22
 
     def test_action_preserves_order(self):
         poset = build_cluster_poset(3)

@@ -95,7 +95,9 @@ def test_chain_multichains():
 
 def test_from_leq_on_divisibility():
     elements = list(range(1, 13))
-    p = FinitePoset.from_leq(elements, lambda a, b: b % a == 0)
+    p = FinitePoset.from_leq(
+        elements, lambda i, j: elements[j] % elements[i] == 0
+    )
     assert p.leq(3, 12) and not p.leq(3, 8)
     assert set(p.up[p.index[1]]) == {p.index[x] for x in (2, 3, 5, 7, 11)}
     assert p.mobius_from_bottom()[12] == 0
@@ -144,7 +146,9 @@ def test_serialization_smoke():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_nc_covers_match_leq_oracle(n):
     p = build_nc_poset(n)
-    q = FinitePoset.from_leq(p.elements, nc_leq)
+    q = FinitePoset.from_leq(
+        p.elements, lambda i, j: nc_leq(p.elements[i], p.elements[j])
+    )
     assert sorted(p.cover_index_pairs()) == sorted(q.cover_index_pairs())
 
 
@@ -213,7 +217,10 @@ def test_pp_leq_routes_agree_sampled_n4(i, j):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pp_covers_match_leq_oracle(n):
     poset = build_pp_poset(n)
-    oracle = FinitePoset.from_leq(poset.elements, pp_leq)
+    elements = poset.elements
+    oracle = FinitePoset.from_leq(
+        elements, lambda i, j: pp_leq(elements[i], elements[j])
+    )
     assert sorted(poset.cover_index_pairs()) == sorted(oracle.cover_index_pairs())
 
 
