@@ -48,7 +48,7 @@ def main() -> int:
         print(f"        mobius-hat {poset.mobius_hat()}")
 
     print("reduced Betti numbers of the proper part (degrees -1, 0, ...)")
-    for n in range(3, min(nmax, 4) + 1):
+    for n in range(3, min(nmax, 5) + 1):
         print(f"  n={n}: {parking_betti(n)}")
 
     print("homology character tables (Lefschetz vs closed formula)")

@@ -565,7 +565,7 @@ def _betti_closed(n: int) -> tuple[int, ...]:
 
 
 def _verify_homology(nmax: int, kmax: int) -> tuple[bool, str]:
-    top = min(nmax, 4)
+    top = min(nmax, 5)
     for n in range(3, top + 1):
         betti = parking_betti(n)
         if betti != _betti_closed(n):

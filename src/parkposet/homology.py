@@ -2,8 +2,12 @@
 
 The order complex of a finite poset is the simplicial complex whose faces
 are the strict chains.  This module computes its reduced rational Betti
-numbers with exact arithmetic: boundary ranks come from sparse Gaussian
-elimination over Fraction entries, so there is no floating point anywhere.
+numbers with exact arithmetic: boundary ranks come from fraction-free
+sparse elimination over Python integers, with clearing between degrees.
+Fraction-free elimination is exact because each step replaces a row by an
+integer combination a*row - b*pivot with a nonzero, which keeps the row
+space over Q.  Clearing is exact because each row it leaves out lies in
+the span of the rows that stay, so no rank changes.
 
 On top of the generic machinery sit the facts specific to the parking
 function poset.  Its proper part has reduced homology concentrated in the
@@ -21,6 +25,7 @@ character, are computed from Catalan weights over Kreweras complements.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable
 
 from .nc import NoncrossingPartition, Permutation, kreweras
@@ -91,23 +96,47 @@ def chains_by_size(poset: FinitePoset) -> list[list[tuple[int, ...]]]:
 # ----- exact linear algebra -----
 
 
-def sparse_rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
+def sparse_rank(
+    rows: Iterable[dict[int, int | Fraction]],
+    pivots: dict[int, dict[int, int]] | None = None,
+) -> int:
     """Rank over the rationals of a sparse matrix given as {column: value}
-    rows, by incremental elimination against a dictionary of pivot rows."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    rows with int or Fraction entries.
+
+    Elimination is fraction-free: each row is scaled by the lcm of its
+    denominators, and a row meeting a pivot on its smallest column
+    becomes a*row - b*pivot, with a and b the two leading entries divided
+    by their gcd.  Since a is nonzero this keeps the row space over Q, so
+    the rank is exact.  Each new pivot row is divided by its content, with
+    the sign that makes its leading entry positive, and stored under its
+    smallest column, in `pivots` when a dict is passed; the input rows are
+    not modified.
+    """
+    if pivots is None:
+        pivots = {}
     rank = 0
     for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
+        scale = lcm(*(v.denominator for v in raw.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in raw.items() if v}
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
+                content = gcd(*row.values())
+                if row[col] < 0:
+                    content = -content
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
                 pivots[col] = row
                 rank += 1
                 break
-            factor = row[col] / piv[col]
+            a, b = piv[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in piv.items():
-                new = row.get(c, 0) - factor * v
+                new = row.get(c, 0) - b * v
                 if new:
                     row[c] = new
                 else:
@@ -115,20 +144,25 @@ def sparse_rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
     return rank
 
 
-def _boundary_rank(
-    small: list[tuple[int, ...]], big: list[tuple[int, ...]]
-) -> int:
-    """Rank of the simplicial boundary map from chains of size s to chains
-    of size s - 1, one alternating-sign row per larger chain."""
+def _boundary_rows(
+    small: list[tuple[int, ...]],
+    big: list[tuple[int, ...]],
+    cleared: dict[int, dict[int, int]],
+) -> list[dict[int, int]]:
+    """Rows of the simplicial boundary map from chains of size s to chains
+    of size s - 1, one alternating-sign row per larger chain, leaving out
+    the chains that are keys of `cleared`."""
     position = {ch: i for i, ch in enumerate(small)}
     rows = []
-    for ch in big:
-        row: dict[int, int | Fraction] = {}
+    for index, ch in enumerate(big):
+        if index in cleared:
+            continue
+        row: dict[int, int] = {}
         for i in range(len(ch)):
             face = ch[:i] + ch[i + 1 :]
             row[position[face]] = 1 if i % 2 == 0 else -1
         rows.append(row)
-    return sparse_rank(rows)
+    return rows
 
 
 def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
@@ -139,11 +173,23 @@ def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
     order complex is connected and acyclic gives a tuple of zeros.  The
     augmented chain complex is used throughout: the empty chain spans the
     (-1)-dimensional chain group.
+
+    Boundary ranks are computed from the largest chain size down, with
+    clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", 2011): an s-chain that is the pivot column of a row of the
+    boundary from (s+1)-chains is left out of the boundary from s-chains.
+    That pivot row is a cycle whose smallest column is the chain, so the
+    chain's own boundary row lies in the span of the rows of later
+    chains, and leaving it out keeps the rank.
     """
     layers = chains_by_size(poset)
     ranks = [0] * (len(layers) + 1)
-    for s in range(1, len(layers)):
-        ranks[s] = _boundary_rank(layers[s - 1], layers[s])
+    cleared: dict[int, dict[int, int]] = {}
+    for s in range(len(layers) - 1, 0, -1):
+        pivots: dict[int, dict[int, int]] = {}
+        rows = _boundary_rows(layers[s - 1], layers[s], cleared)
+        ranks[s] = sparse_rank(rows, pivots)
+        cleared = pivots
     betti = []
     for s, layer in enumerate(layers):
         betti.append(len(layer) - ranks[s] - ranks[s + 1])

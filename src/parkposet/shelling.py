@@ -91,11 +91,14 @@ def code_jump(lower: ParkingElement, upper: ParkingElement) -> int:
     this is the maximal i such that c_i(sigma) < c_i(tau), and 0 when
     sigma equals tau.
     """
-    low = permutation_code(lower.sigma)
-    high = permutation_code(upper.sigma)
+    return _code_jump(permutation_code(lower.sigma), permutation_code(upper.sigma))
+
+
+def _code_jump(low: tuple[int, ...], high: tuple[int, ...]) -> int:
+    """`code_jump` on the two codes, highest index first."""
     if low == high:
         return 0
-    n = lower.n
+    n = len(low)
     for t in range(n):
         if low[t] < high[t]:
             return n - t
@@ -421,6 +424,7 @@ def check_same_block_jump_bound(n: int) -> int:
     there.  Returns the number of cover pairs checked."""
     poset = build_pp_poset(n)
     elements = poset.elements
+    codes = [element_code(e) for e in elements]
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
@@ -431,14 +435,14 @@ def check_same_block_jump_bound(n: int) -> int:
             join = pp_join(a, b)
             if join is TOP:
                 continue
-            bound = max(code_jump(base, a), code_jump(base, b))
+            bound = max(_code_jump(codes[x], codes[s]), _code_jump(codes[x], codes[t]))
             inside = poset.upset_mask(x) & poset.downset_mask(poset.index[join])
             for u in _bits(inside):
                 for v in poset.up[u]:
                     if not inside >> v & 1:
                         continue
                     checked += 1
-                    if code_jump(elements[u], elements[v]) > bound:
+                    if _code_jump(codes[u], codes[v]) > bound:
                         raise ValueError(
                             f"jump bound fails over {base} with {a}, {b}"
                         )

@@ -226,6 +226,11 @@ class TestHomology:
         assert code == 0
         assert out == "degree,rank\n-1,0\n0,0\n1,4\n"
 
+    def test_long_size_five(self, capsys):
+        code, out = run(capsys, "homology", "--n", "5", "--long")
+        assert code == 0
+        assert out == "degree,rank\n-1,0\n0,0\n1,0\n2,0\n3,256\n"
+
     def test_character_table(self, capsys):
         code, out = run(capsys, "homology", "--n", "3", "--character")
         assert code == 0
@@ -361,6 +366,12 @@ class TestVerifyAll:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert run(capsys, "verify-all", "--n", "2", "--jobs", "1000")[0] == 0
         assert sizes == [3, 12]
+
+    def test_long_checks_betti_at_size_five(self):
+        assert cli.VERIFY_CHECKS["homology-betti"](5, 1) == (
+            True,
+            "betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..5",
+        )
 
     def test_bounds(self, capsys):
         assert run(capsys, "verify-all", "--n", "9")[0] == 2

@@ -7,14 +7,18 @@ numbers against Mobius values, the Hopf trace character against the closed
 product formula, and Whitney module dimensions against both.
 """
 
+import copy
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from parkposet import homology
 from parkposet.enumeration import prime_parking_character
+from parkposet.forests import build_cluster_poset
 from parkposet.homology import (
     chains_by_size,
     count_chains_by_size,
@@ -28,6 +32,7 @@ from parkposet.homology import (
     top_homology_character,
     whitney_module_character,
 )
+from parkposet.kdivisible import build_ppk_poset
 from parkposet.nc import Permutation, enumerate_noncrossing
 from parkposet.numbers import binomial, catalan
 from parkposet.objects import enumerate_elements
@@ -59,6 +64,85 @@ def chain_poset(length):
 
 def antichain(size):
     return FinitePoset(list(range(size)), [])
+
+
+def fraction_rank(rows):
+    """Rank over the rationals by Gaussian elimination on Fraction entries:
+    the reference that the fraction-free `sparse_rank` is checked against."""
+    pivots = {}
+    rank = 0
+    for raw in rows:
+        row = {c: Fraction(v) for c, v in raw.items() if v}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                rank += 1
+                break
+            factor = row[col] / piv[col]
+            for c, v in piv.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+    return rank
+
+
+def boundary_matrices(poset):
+    """Every boundary matrix of the augmented chain complex of the order
+    complex, from chains of size s to size s - 1, for s = 1, 2, ..."""
+    layers = chains_by_size(poset)
+    matrices = []
+    for s in range(1, len(layers)):
+        position = {ch: i for i, ch in enumerate(layers[s - 1])}
+        matrices.append(
+            [
+                {position[ch[:i] + ch[i + 1 :]]: (-1) ** i for i in range(len(ch))}
+                for ch in layers[s]
+            ]
+        )
+    return matrices
+
+
+def random_sparse_matrix(rng, fractions):
+    """A sparse matrix with zero rows and rows that are combinations of
+    earlier rows, entries int or Fraction."""
+    cols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(1, 16)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({} if rng.random() < 0.5 else {rng.randrange(cols): 0})
+        elif kind < 0.45 and rows:
+            row = {}
+            for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                scale = rng.choice([-3, -2, -1, 1, 2, 5])
+                if fractions:
+                    scale = Fraction(scale, rng.randint(1, 7))
+                for c, v in other.items():
+                    row[c] = row.get(c, 0) + scale * v
+            rows.append(row)
+        else:
+            row = {}
+            for c in rng.sample(range(cols), rng.randint(1, min(cols, 4))):
+                value = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 9])
+                if fractions:
+                    value = Fraction(value, rng.randint(1, 9))
+                row[c] = value
+            rows.append(row)
+    return rows
+
+
+PROPER_PARTS = {
+    "pp(2)": lambda: build_pp_poset(2).without_bottom(),
+    "pp(3)": lambda: build_pp_poset(3).without_bottom(),
+    "pp(4)": lambda: build_pp_poset(4).without_bottom(),
+    "cluster(3)": lambda: build_cluster_poset(3).without_bottom(),
+    "cluster(4)": lambda: build_cluster_poset(4).without_bottom(),
+    "ppk(3,2)": lambda: build_ppk_poset(3, 2).without_bottom(),
+}
 
 
 # ----- generic machinery -----
@@ -143,6 +227,48 @@ class TestSparseRank:
         rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 2: 0}]
         assert sparse_rank(rows) == 2
 
+    @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
+    def test_boundary_matrices_match_fraction_rank(self, name):
+        for rows in boundary_matrices(PROPER_PARTS[name]()):
+            assert sparse_rank(rows) == fraction_rank(rows)
+
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_random_matrices_match_fraction_rank(self, fractions):
+        rng = random.Random(20211 + fractions)
+        for _ in range(300):
+            rows = random_sparse_matrix(rng, fractions)
+            before = copy.deepcopy(rows)
+            assert sparse_rank(rows) == fraction_rank(rows)
+            assert rows == before
+
+    def test_pivot_rows(self):
+        rows = [{2: Fraction(-2, 3), 5: Fraction(4, 9)}, {0: 6, 2: 4}, {0: 3, 2: 2}]
+        pivots = {}
+        assert sparse_rank(rows, pivots) == len(pivots) == 2
+        assert pivots == {2: {2: 3, 5: -2}, 0: {0: 3, 2: 2}}
+        assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+    @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
+    def test_clearing_keeps_every_rank(self, name, monkeypatch):
+        poset = PROPER_PARTS[name]()
+        matrices = boundary_matrices(poset)
+        plain = [sparse_rank(rows) for rows in matrices]
+        seen = []
+
+        def recording_rank(rows, pivots=None):
+            rank = sparse_rank(rows, pivots)
+            seen.append((len(rows), rank))
+            return rank
+
+        monkeypatch.setattr(homology, "sparse_rank", recording_rank)
+        reduced_betti(poset)
+        # reduced_betti works from the largest chain size down, and leaves
+        # out of each matrix one row per pivot of the matrix above it.
+        kept = [len(rows) for rows in matrices]
+        for s in range(len(matrices) - 1):
+            kept[s] -= plain[s + 1]
+        assert seen == list(zip(kept, plain))[::-1]
+
 
 # ----- parking function poset -----
 
@@ -152,6 +278,7 @@ class TestParkingBetti:
         assert parking_betti(2) == (0, 1)
         assert parking_betti(3) == (0, 0, 4)
         assert parking_betti(4) == (0, 0, 0, 27)
+        assert parking_betti(5) == (0, 0, 0, 0, 256)
 
     def test_top_dimension_formula(self):
         for n in (2, 3, 4):
