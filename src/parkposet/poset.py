@@ -269,27 +269,16 @@ class FinitePoset:
     # ----- lattice operations -----
 
     def join_index(self, i: int, j: int) -> int | None:
-        """Index of the least upper bound, or None when it does not exist."""
+        """Index of the least upper bound, or None when it does not exist:
+        the common upper bound whose up-set is all the common upper bounds."""
         self._ensure_masks()
-        common = self._upmasks[i] & self._upmasks[j]
-        if common == 0:
-            return None
-        candidates = _bits(common)
-        minimal = [
-            u for u in candidates if self._downmasks[u] & common == 1 << u
-        ]
-        return minimal[0] if len(minimal) == 1 else None
+        up = self._upmasks
+        return _first_with_mask(up[i] & up[j], up)
 
     def meet_index(self, i: int, j: int) -> int | None:
         self._ensure_masks()
-        common = self._downmasks[i] & self._downmasks[j]
-        if common == 0:
-            return None
-        candidates = _bits(common)
-        maximal = [
-            u for u in candidates if self._upmasks[u] & common == 1 << u
-        ]
-        return maximal[0] if len(maximal) == 1 else None
+        down = self._downmasks
+        return _first_with_mask(down[i] & down[j], down)
 
     def join(self, x: Hashable, y: Hashable) -> Hashable | None:
         k = self.join_index(self.index[x], self.index[y])
@@ -423,6 +412,18 @@ def posets_isomorphic(first: FinitePoset, second: FinitePoset) -> bool:
         return False
 
     return extend(0)
+
+
+def _first_with_mask(mask: int, masks: list[int]) -> int | None:
+    """Lowest index u set in mask with masks[u] == mask, or None."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if masks[u] == mask:
+            return u
+        rest ^= low
+    return None
 
 
 def _bits(mask: int) -> list[int]:

@@ -12,7 +12,10 @@ code jump, zero prefix) and their structural properties.
 Every check that uses the cover order reads one table of cover keys
 per poset (``_edge_keys``: ``cover_key`` on the parking side,
 ``transposition_label`` on the noncrossing side) and one earlier-swap
-test (``_earlier_swap``); both fork lemmas run one loop.
+test (``_earlier_swap``); both fork lemmas run one loop.  The parking
+checks run on the ids of ``build_pp_poset(n)``, with one code per
+element (``_codes``) and joins read from ``build_pp_poset_hat(n)``,
+whose id m is the adjoined top.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import combinations, pairwise
+from itertools import combinations, pairwise, permutations
 from typing import Callable
 
 from .nc import (
@@ -39,7 +42,6 @@ from .parking_order import (
     build_pp_poset_hat,
     element_from_block_labels,
     lower_covers,
-    pp_join,
     upper_covers,
 )
 from .poset import FinitePoset, _bits
@@ -69,6 +71,11 @@ def transposition_label(lower: NoncrossingPartition, upper: NoncrossingPartition
 def element_code(elem: ParkingElement) -> tuple[int, ...]:
     """Code of the label permutation, most significant entry first."""
     return permutation_code(elem.sigma)
+
+
+def _codes(poset: FinitePoset) -> list[tuple[int, ...]]:
+    """One `element_code` per id of a parking poset."""
+    return [element_code(e) for e in poset.elements]
 
 
 def element_zero_prefix(elem: ParkingElement) -> int:
@@ -257,11 +264,11 @@ def _verify_fork(
     n: int,
     poset: FinitePoset,
     key: Callable,
-    join: Callable[[int, int], int | None],
+    lattice: FinitePoset,
 ) -> ForkReport:
     """The fork check of ``verify_fork_lemma`` on a poset whose covers
-    are ordered by ``key``; ``join`` maps two indices to the index of
-    their join, or None when they have no join in the poset."""
+    are ordered by ``key``; joins are read from ``lattice``, a bounded
+    lattice whose ids below ``len(poset)`` are those of ``poset``."""
     keys = _edge_keys(poset, key)
     elements = poset.elements
     up = poset.up
@@ -277,10 +284,9 @@ def _verify_fork(
                     report.replaced_middle += len(earlier)
                     continue
                 for yp in earlier:
-                    top = join(yp, z)
+                    top = lattice.join_index(yp, z)
                     if any(
-                        keys[(y, zp)] < keys[(y, z)]
-                        and (top is None or poset.leq_index(zp, top))
+                        keys[(y, zp)] < keys[(y, z)] and lattice.leq_index(zp, top)
                         for zp in up[y]
                     ):
                         report.raised_top += 1
@@ -305,13 +311,7 @@ def verify_fork_lemma(n: int) -> ForkReport:
     Returns a report counting how often each branch applies; both
     branches are exercised for n >= 4.
     """
-    poset = build_pp_poset(n)
-
-    def join(i: int, j: int) -> int | None:
-        top = pp_join(poset.elements[i], poset.elements[j])
-        return None if top is TOP else poset.index[top]
-
-    return _verify_fork(n, poset, cover_key, join)
+    return _verify_fork(n, build_pp_poset(n), cover_key, build_pp_poset_hat(n))
 
 
 # ----- structural properties of the statistics -----
@@ -320,16 +320,15 @@ def verify_fork_lemma(n: int) -> ForkReport:
 def check_code_monotone(n: int) -> int:
     """Codes grow weakly along the order; returns the number of pairs."""
     poset = build_pp_poset(n)
-    codes = [element_code(e) for e in poset.elements]
+    codes = _codes(poset)
     checked = 0
-    for i in range(len(codes)):
-        for j in range(len(codes)):
-            if i != j and poset.leq_index(i, j):
-                checked += 1
-                if not codes[i] <= codes[j]:
-                    raise ValueError(
-                        f"code drops along {poset.elements[i]} <= {poset.elements[j]}"
-                    )
+    for i, code in enumerate(codes):
+        for j in _bits(poset.upset_mask(i) ^ 1 << i):
+            checked += 1
+            if not code <= codes[j]:
+                raise ValueError(
+                    f"code drops along {poset.elements[i]} <= {poset.elements[j]}"
+                )
     return checked
 
 
@@ -337,9 +336,12 @@ def check_equal_code_join(n: int) -> int:
     """Two elements with equal codes have a proper join with that same
     code; returns the number of pairs checked."""
     poset = build_pp_poset(n)
-    by_code: dict[tuple, list[ParkingElement]] = {}
-    for elem in poset.elements:
-        by_code.setdefault(element_code(elem), []).append(elem)
+    hat = build_pp_poset_hat(n)
+    elements = poset.elements
+    codes = _codes(poset)
+    by_code: dict[tuple, list[int]] = {}
+    for i, code in enumerate(codes):
+        by_code.setdefault(code, []).append(i)
     checked = 0
     for code, group in by_code.items():
         for a in group:
@@ -347,8 +349,9 @@ def check_equal_code_join(n: int) -> int:
                 if a == b:
                     continue
                 checked += 1
-                join = pp_join(a, b)
-                if join is TOP or element_code(join) != code:
+                join = hat.join_index(a, b)
+                if join == len(elements) or codes[join] != code:
+                    a, b = elements[a], elements[b]
                     raise ValueError(f"join of {a} and {b} breaks the code")
     return checked
 
@@ -371,17 +374,18 @@ def check_zero_prefix_join(n: int) -> int:
     """A proper join has zero prefix the minimum of the two; returns the
     number of pairs with a proper join."""
     poset = build_pp_poset(n)
+    hat = build_pp_poset_hat(n)
     elements = poset.elements
-    prefix = [element_zero_prefix(e) for e in elements]
+    prefix = [zero_prefix_length(code) for code in _codes(poset)]
     checked = 0
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements[i + 1 :], i + 1):
-            join = pp_join(a, b)
-            if join is TOP:
-                continue
-            checked += 1
-            if prefix[poset.index[join]] != min(prefix[i], prefix[j]):
-                raise ValueError(f"zero prefix of join of {a} and {b} is off")
+    for i, j in combinations(range(len(elements)), 2):
+        join = hat.join_index(i, j)
+        if join == len(elements):
+            continue
+        checked += 1
+        if prefix[join] != min(prefix[i], prefix[j]):
+            a, b = elements[i], elements[j]
+            raise ValueError(f"zero prefix of join of {a} and {b} is off")
     return checked
 
 
@@ -392,24 +396,25 @@ def check_split_diamond(n: int) -> int:
     code jumps across the diamond match crosswise.  Returns the number
     of diamonds checked."""
     poset = build_pp_poset(n)
+    hat = build_pp_poset_hat(n)
     elements = poset.elements
+    codes = _codes(poset)
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
         for s, t in combinations(ups, 2):
-            a, b = elements[s], elements[t]
-            if split_block(base, a) == split_block(base, b):
+            if split_block(base, elements[s]) == split_block(base, elements[t]):
                 continue
             checked += 1
-            join = pp_join(a, b)
-            if join is TOP or join.rank != base.rank + 2:
+            j = hat.join_index(s, t)
+            if j == len(elements) or elements[j].rank != base.rank + 2:
                 raise ValueError(f"diamond join fails over {base}")
-            j = poset.index[join]
             diamond = 1 << x | 1 << s | 1 << t | 1 << j
             if poset.upset_mask(x) & poset.downset_mask(j) != diamond:
                 raise ValueError(f"diamond interval fails over {base}")
-            ja, jb = code_jump(base, a), code_jump(base, b)
-            if ja != code_jump(b, join) or jb != code_jump(a, join):
+            cx, cs, ct, cj = codes[x], codes[s], codes[t], codes[j]
+            ja, jb = _code_jump(cx, cs), _code_jump(cx, ct)
+            if ja != _code_jump(ct, cj) or jb != _code_jump(cs, cj):
                 raise ValueError(f"diamond code jumps fail over {base}")
             if ja == jb and ja != 0:
                 raise ValueError(f"equal nonzero jumps over {base}")
@@ -423,8 +428,9 @@ def check_same_block_jump_bound(n: int) -> int:
     the artificial top are skipped, since the jump is not defined
     there.  Returns the number of cover pairs checked."""
     poset = build_pp_poset(n)
+    hat = build_pp_poset_hat(n)
     elements = poset.elements
-    codes = [element_code(e) for e in elements]
+    codes = _codes(poset)
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
@@ -432,11 +438,11 @@ def check_same_block_jump_bound(n: int) -> int:
             a, b = elements[s], elements[t]
             if split_block(base, a) != split_block(base, b):
                 continue
-            join = pp_join(a, b)
-            if join is TOP:
+            join = hat.join_index(s, t)
+            if join == len(elements):
                 continue
             bound = max(_code_jump(codes[x], codes[s]), _code_jump(codes[x], codes[t]))
-            inside = poset.upset_mask(x) & poset.downset_mask(poset.index[join])
+            inside = poset.upset_mask(x) & poset.downset_mask(join)
             for u in _bits(inside):
                 for v in poset.up[u]:
                     if not inside >> v & 1:
@@ -455,21 +461,19 @@ def check_minimal_jump_grows(n: int) -> int:
     weakly grows from the lower cover to the upper one.  Returns the
     number of such minimal configurations."""
     poset = build_pp_poset(n)
-    elements = poset.elements
+    codes = _codes(poset)
     up = poset.up
     keys = _edge_keys(poset, cover_key)
     checked = 0
-    for x in range(len(elements)):
+    for x, code in enumerate(codes):
         for y in up[x]:
             for z in up[y]:
                 if _earlier_swap(poset, keys, x, y, z):
                     continue
                 checked += 1
-                if code_jump(elements[x], elements[y]) > code_jump(
-                    elements[y], elements[z]
-                ):
+                if _code_jump(code, codes[y]) > _code_jump(codes[y], codes[z]):
                     raise ValueError(
-                        f"jump drops along minimal chain at {elements[x]}"
+                        f"jump drops along minimal chain at {poset.elements[x]}"
                     )
     return checked
 
@@ -479,19 +483,14 @@ def check_jump_code_compatible(n: int) -> int:
     forces a strictly smaller code, and distinct jumps order the codes
     the same way.  Returns the number of ordered pairs checked."""
     poset = build_pp_poset(n)
-    elements = poset.elements
+    codes = _codes(poset)
     checked = 0
     for x, ups in enumerate(poset.up):
-        base = elements[x]
-        for s in ups:
-            for t in ups:
-                if s == t:
-                    continue
-                checked += 1
-                ms, mt = code_jump(base, elements[s]), code_jump(base, elements[t])
-                cs, ct = element_code(elements[s]), element_code(elements[t])
-                if ms != mt and (ms < mt) != (cs < ct):
-                    raise ValueError(f"jump and code disagree above {base}")
+        jumps = {s: _code_jump(codes[x], codes[s]) for s in ups}
+        for s, t in permutations(ups, 2):
+            checked += 1
+            if jumps[s] != jumps[t] and (jumps[s] < jumps[t]) != (codes[s] < codes[t]):
+                raise ValueError(f"jump and code disagree above {poset.elements[x]}")
     return checked
 
 
@@ -536,7 +535,7 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     """The fork property also holds in the noncrossing lattice, with
     covers ordered by their transposition labels."""
     poset = build_nc_poset(n)
-    return _verify_fork(n, poset, transposition_label, poset.join_index)
+    return _verify_fork(n, poset, transposition_label, poset)
 
 
 # ----- failure of the recursive atom ordering criterion -----

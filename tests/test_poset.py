@@ -283,6 +283,37 @@ def test_join_meet_against_poset_oracle(n):
             assert pp_meet(a, b) == poset.meet(a, b)
 
 
+def test_join_against_poset_oracle_n4():
+    # joins only: pp_meet over all 125**2 pairs would take seconds
+    poset = build_pp_poset(4)
+    hat = build_pp_poset_hat(4)
+    for a in poset.elements:
+        for b in poset.elements:
+            assert pp_join(a, b) == hat.join(a, b)
+
+
+def unique_minimal(poset, mask, below):
+    """The unique minimal element of a mask under below(u, v), or None."""
+    members = [u for u in range(len(poset)) if mask >> u & 1]
+    minimal = [
+        u for u in members if not any(v != u and below(v, u) for v in members)
+    ]
+    return minimal[0] if len(minimal) == 1 else None
+
+
+@given(st.sets(st.integers(0, 15), min_size=1))
+def test_join_meet_index_are_unique_extreme_bounds(keep):
+    poset = boolean(4).induced(keep)
+    for i in range(len(poset)):
+        for j in range(len(poset)):
+            ups = poset.upset_mask(i) & poset.upset_mask(j)
+            downs = poset.downset_mask(i) & poset.downset_mask(j)
+            assert poset.join_index(i, j) == unique_minimal(poset, ups, poset.leq_index)
+            assert poset.meet_index(i, j) == unique_minimal(
+                poset, downs, lambda u, v: poset.leq_index(v, u)
+            )
+
+
 @given(st.integers(0, 124), st.integers(0, 124))
 def test_join_meet_sampled_n4(i, j):
     poset = build_pp_poset(4)

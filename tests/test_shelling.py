@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkposet import shelling
+from parkposet import parking_order, shelling
 from parkposet.nc import NoncrossingPartition, Permutation
 from parkposet.objects import ParkingElement
 from parkposet.parking_order import (
@@ -155,6 +155,13 @@ def test_fork_lemma_both_branches():
     assert rep4.ok
     assert rep4.checked == 3798
     assert (rep4.replaced_middle, rep4.raised_top) == (3122, 676)
+    rep5 = verify_fork_lemma(5)
+    assert rep5.ok
+    assert (rep5.checked, rep5.replaced_middle, rep5.raised_top) == (
+        137213,
+        109794,
+        27419,
+    )
 
 
 def test_nc_fork_lemma():
@@ -215,6 +222,50 @@ def test_one_key_per_cover(monkeypatch, check, name, n, covers):
     assert len(calls) == len(set(calls)) == covers
 
 
+# ----- the parking checks run on ids -----
+
+# n = 4 counts of every parking support check, as pinned below
+SUPPORT_COUNTS_4 = [
+    (check_code_monotone, 604),
+    (check_equal_code_join, 734),
+    (check_zero_prefix_blocks, 125),
+    (check_zero_prefix_join, 1636),
+    (check_split_diamond, 48),
+    (check_same_block_jump_bound, 3360),
+    (check_minimal_jump_grows, 216),
+    (check_jump_code_compatible, 2196),
+]
+
+
+def test_checks_join_on_ids(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pp_join called")
+
+    assert not hasattr(shelling, "pp_join")
+    monkeypatch.setattr(parking_order, "pp_join", refuse)
+    rep = verify_fork_lemma(4)
+    assert (rep.checked, rep.replaced_middle, rep.raised_top) == (3798, 3122, 676)
+    for check, count in SUPPORT_COUNTS_4:
+        assert check(4) == count
+
+
+@pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
+def test_one_code_per_element(monkeypatch, check):
+    original = shelling.permutation_code
+    calls = []
+
+    def counted(perm):
+        calls.append(perm)
+        return original(perm)
+
+    monkeypatch.setattr(shelling, "permutation_code", counted)
+    check(4)
+    # one call per element of the poset on [4] (label permutations
+    # repeat), plus one per cover where the check reads the cover order
+    covers = sum(map(len, build_pp_poset(4).up))
+    assert len(calls) == 125 + (covers if check is check_minimal_jump_grows else 0)
+
+
 def test_tied_cover_keys_rejected():
     with pytest.raises(ValueError, match="tied cover keys above element 0"):
         _edge_keys(build_nc_poset(3), lambda lower, upper: 0)
@@ -236,21 +287,25 @@ def test_code_monotone():
     # strictly comparable pairs: (2n+1)^(n-1) multichain pairs minus equals
     assert check_code_monotone(3) == 7**2 - 16
     assert check_code_monotone(4) == 9**3 - 125
+    assert check_code_monotone(5) == 11**4 - 1296
 
 
 def test_equal_code_join():
     assert check_equal_code_join(3) == 36
     assert check_equal_code_join(4) == 734
+    assert check_equal_code_join(5) == 18500
 
 
 def test_zero_prefix_matches_blocks():
     assert check_zero_prefix_blocks(3) == 16
     assert check_zero_prefix_blocks(4) == 125
+    assert check_zero_prefix_blocks(5) == 1296
 
 
 def test_zero_prefix_of_join():
     assert check_zero_prefix_join(3) == 51
     assert check_zero_prefix_join(4) == 1636
+    assert check_zero_prefix_join(5) == 70445
 
 
 def test_split_diamond():
@@ -261,16 +316,19 @@ def test_split_diamond():
 def test_same_block_jump_bound():
     assert check_same_block_jump_bound(3) == 108
     assert check_same_block_jump_bound(4) == 3360
+    assert check_same_block_jump_bound(5) == 81700
 
 
 def test_minimal_jump_grows():
     assert check_minimal_jump_grows(3) == 6
     assert check_minimal_jump_grows(4) == 216
+    assert check_minimal_jump_grows(5) == 5900
 
 
 def test_jump_code_compatible():
     assert check_jump_code_compatible(3) == 90
     assert check_jump_code_compatible(4) == 2196
+    assert check_jump_code_compatible(5) == 49150
 
 
 # ----- failure of the recursive atom ordering criterion -----
