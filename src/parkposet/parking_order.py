@@ -9,6 +9,10 @@ it.  Equivalently, eta shrinks pointwise going up.
 The poset is graded by number of blocks minus one, has a unique bottom
 (one block labeled by everything) and n! maximal elements; adjoining an
 artificial top turns it into a lattice.
+
+Below an element sits one element per noncrossing coarsening of its
+partition (descend), so its ideal is its partition's ideal in NC_n and
+its lower covers are the NC_n lower covers lifted by descent.
 """
 
 from __future__ import annotations
@@ -17,11 +21,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .nc import (
-    NoncrossingPartition,
-    SetPartition,
-    is_noncrossing,
-)
+from .nc import NoncrossingPartition, SetPartition
 from .objects import ParkingElement, enumerate_elements
 from .poset import FinitePoset
 
@@ -75,10 +75,11 @@ def nc_lower_covers(partition: NoncrossingPartition) -> list[NoncrossingPartitio
     blocks = partition.blocks
     for i, j in combinations(range(len(blocks)), 2):
         merged = [b for t, b in enumerate(blocks) if t not in (i, j)]
-        merged.append(sorted(blocks[i] + blocks[j]))
-        candidate = SetPartition(partition.n, merged)
-        if is_noncrossing(candidate):
-            out.append(NoncrossingPartition(partition.n, candidate.blocks))
+        merged.append(blocks[i] + blocks[j])
+        try:
+            out.append(NoncrossingPartition(partition.n, merged))
+        except ValueError:
+            continue
     return out
 
 
@@ -173,40 +174,30 @@ def upper_covers(elem: ParkingElement) -> list[ParkingElement]:
 
 
 def lower_covers(elem: ParkingElement) -> list[ParkingElement]:
-    """Merge two blocks (and their label sets) whenever the merged
-    partition stays noncrossing."""
-    out = []
-    blocks = elem.partition.blocks
-    labels = elem.labels
-    for i, j in combinations(range(len(blocks)), 2):
-        merged_blocks = [b for t, b in enumerate(blocks) if t not in (i, j)]
-        merged_blocks.append(sorted(blocks[i] + blocks[j]))
-        candidate = SetPartition(elem.n, merged_blocks)
-        if not is_noncrossing(candidate):
-            continue
-        pairs = [
-            (b, l) for t, (b, l) in enumerate(zip(blocks, labels)) if t not in (i, j)
-        ]
-        pairs.append((sorted(blocks[i] + blocks[j]), sorted(labels[i] + labels[j])))
-        out.append(element_from_block_labels(elem.n, pairs))
-    return out
+    """One element per NC_n lower cover of the partition, by descent."""
+    return [descend(elem, q) for q in nc_lower_covers(elem.partition)]
+
+
+def _block_minima(partition: SetPartition) -> list[int]:
+    """For each x in [n], the minimum of the block containing x."""
+    return [partition.block_of(x)[0] for x in range(1, partition.n + 1)]
 
 
 def descend(elem: ParkingElement, coarser: NoncrossingPartition) -> ParkingElement:
     """The unique element below elem with the given coarser partition.
 
-    Label sets merge along with blocks.  Requires the partition of elem
-    to refine `coarser`.
+    Each parking-word letter drops to the minimum of its coarser block.
+    Requires the partition of elem to refine `coarser`.
     """
     if not elem.partition.refines(coarser):
         raise ValueError("descend needs a coarsening of the element's partition")
-    labels = elem.labels
-    pairs = []
-    for block in coarser.blocks:
-        sub = {elem.partition.block_index_of(x) for x in block}
-        lab = sorted(y for t in sub for y in labels[t])
-        pairs.append((block, lab))
-    return element_from_block_labels(elem.n, pairs)
+    if not isinstance(coarser, NoncrossingPartition):
+        coarser = NoncrossingPartition(coarser.n, coarser.blocks)
+    low = _block_minima(coarser)
+    labels: dict[int, list[int]] = {b[0]: [] for b in coarser.blocks}
+    for i, m in enumerate(elem.word, start=1):
+        labels[low[m - 1]].append(i)
+    return ParkingElement.from_triple(coarser, labels.values())
 
 
 def ideal(elem: ParkingElement) -> list[ParkingElement]:
@@ -279,15 +270,20 @@ MAX_POSET_N = 6
 
 @lru_cache(maxsize=None)
 def build_pp_poset(n: int) -> FinitePoset:
-    """The parking poset on [n] as a FinitePoset, elements sorted by
-    (rank, word), covers generated by block splitting."""
+    """The parking poset on [n], elements sorted by (rank, word), with the
+    NC_n lower covers of each partition lifted by descent on the word."""
     if n > MAX_POSET_N:
         raise ValueError(f"build_pp_poset is guarded to n <= {MAX_POSET_N}")
     elements = sorted(enumerate_elements(n), key=lambda e: e.sort_key)
+    nc = build_nc_poset(n)
+    block_min = [_block_minima(q) for q in nc.elements]
+    by_word = {e.word: e for e in elements}
     covers = []
     for elem in elements:
-        for above in upper_covers(elem):
-            covers.append((elem, above))
+        word = elem.word
+        for q in nc.down[nc.index[elem.partition]]:
+            low = block_min[q]
+            covers.append((by_word[tuple(low[m - 1] for m in word)], elem))
     return FinitePoset(elements, covers)
 
 

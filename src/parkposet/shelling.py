@@ -91,18 +91,13 @@ def split_block(lower: ParkingElement, upper: ParkingElement) -> frozenset[int]:
     return frozenset(gone.pop())
 
 
-def code_jump(lower: ParkingElement, upper: ParkingElement) -> int:
+def _code_jump(low: tuple[int, ...], high: tuple[int, ...]) -> int:
     """Largest index whose code entry grows along a cover, or 0.
 
     For a cover with label permutations sigma (below) and tau (above),
-    this is the maximal i such that c_i(sigma) < c_i(tau), and 0 when
-    sigma equals tau.
+    given their codes highest index first, this is the maximal i such
+    that c_i(sigma) < c_i(tau), and 0 when sigma equals tau.
     """
-    return _code_jump(permutation_code(lower.sigma), permutation_code(upper.sigma))
-
-
-def _code_jump(low: tuple[int, ...], high: tuple[int, ...]) -> int:
-    """`code_jump` on the two codes, highest index first."""
     if low == high:
         return 0
     n = len(low)
@@ -402,8 +397,9 @@ def check_split_diamond(n: int) -> int:
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
+        split = {s: split_block(base, elements[s]) for s in ups}
         for s, t in combinations(ups, 2):
-            if split_block(base, elements[s]) == split_block(base, elements[t]):
+            if split[s] == split[t]:
                 continue
             checked += 1
             j = hat.join_index(s, t)
@@ -434,9 +430,9 @@ def check_same_block_jump_bound(n: int) -> int:
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
+        split = {s: split_block(base, elements[s]) for s in ups}
         for s, t in combinations(ups, 2):
-            a, b = elements[s], elements[t]
-            if split_block(base, a) != split_block(base, b):
+            if split[s] != split[t]:
                 continue
             join = hat.join_index(s, t)
             if join == len(elements):
@@ -450,7 +446,8 @@ def check_same_block_jump_bound(n: int) -> int:
                     checked += 1
                     if _code_jump(codes[u], codes[v]) > bound:
                         raise ValueError(
-                            f"jump bound fails over {base} with {a}, {b}"
+                            f"jump bound fails over {base} with "
+                            f"{elements[s]}, {elements[t]}"
                         )
     return checked
 

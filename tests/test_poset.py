@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkposet import parking_order
 from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
@@ -229,11 +230,36 @@ def test_cover_counts_of_bottom():
     assert len(upper_covers(ParkingElement.bottom(5))) == 75
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lifted_covers_match_split_covers(n):
+    poset = build_pp_poset(n)
+    split = [
+        (i, poset.index[b])
+        for i, a in enumerate(poset.elements)
+        for b in upper_covers(a)
+    ]
+    assert sorted(poset.cover_index_pairs()) == sorted(split)
+
+
+def test_builder_lifts_nc_covers(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rich cover built")
+
+    for name in ("upper_covers", "element_from_block_labels"):
+        monkeypatch.setattr(parking_order, name, refuse)
+    build_pp_poset.cache_clear()
+    try:
+        assert len(build_pp_poset(4)) == 125
+    finally:
+        build_pp_poset.cache_clear()
+
+
 def test_upper_and_lower_covers_are_inverse_relations():
-    poset = build_pp_poset(4)
-    for a in poset.elements:
-        for b in upper_covers(a):
-            assert a in lower_covers(b)
+    for n in range(1, 5):
+        poset = build_pp_poset(n)
+        ups = {(a, b) for a in poset.elements for b in upper_covers(a)}
+        downs = {(a, b) for b in poset.elements for a in lower_covers(b)}
+        assert ups == downs
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -367,6 +393,10 @@ def test_descend_requires_coarsening():
     e = ParkingElement.from_word((1, 1, 3))
     with pytest.raises(ValueError):
         descend(e, NoncrossingPartition(3, [[1, 3], [2]]))
+    # a crossing coarsening of the all-singletons partition is no element
+    top = ParkingElement.from_permutation_top(Permutation.identity(4))
+    with pytest.raises(ValueError, match="crossing"):
+        descend(top, SetPartition(4, [[1, 3], [2, 4]]))
     merged = descend(e, NoncrossingPartition.bottom(3))
     assert merged == ParkingElement.bottom(3)
 

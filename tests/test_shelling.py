@@ -20,6 +20,7 @@ from parkposet.parking_order import (
     upper_covers,
 )
 from parkposet.shelling import (
+    _code_jump,
     _edge_keys,
     check_code_monotone,
     check_equal_code_join,
@@ -30,7 +31,6 @@ from parkposet.shelling import (
     check_split_diamond,
     check_zero_prefix_blocks,
     check_zero_prefix_join,
-    code_jump,
     cover_key,
     cover_precedes,
     element_code,
@@ -79,8 +79,9 @@ def test_code_jump_and_split_block():
     bottom = ParkingElement.bottom(3)
     elem = ParkingElement.from_word((2, 1, 2))
     assert split_block(bottom, elem) == frozenset({1, 2, 3})
-    assert code_jump(bottom, elem) == 2
-    assert code_jump(bottom, ParkingElement.from_word((1, 2, 2))) == 0
+    low = element_code(bottom)
+    assert _code_jump(low, element_code(elem)) == 2
+    assert _code_jump(low, element_code(ParkingElement.from_word((1, 2, 2)))) == 0
     with pytest.raises(ValueError):
         split_block(bottom, ParkingElement.from_word((1, 2, 3)))
 
@@ -264,6 +265,21 @@ def test_one_code_per_element(monkeypatch, check):
     # repeat), plus one per cover where the check reads the cover order
     covers = sum(map(len, build_pp_poset(4).up))
     assert len(calls) == 125 + (covers if check is check_minimal_jump_grows else 0)
+
+
+@pytest.mark.parametrize("check", [check_split_diamond, check_same_block_jump_bound])
+def test_one_split_block_per_cover(monkeypatch, check):
+    original = shelling.split_block
+    calls = []
+
+    def counted(lower, upper):
+        calls.append((lower, upper))
+        return original(lower, upper)
+
+    monkeypatch.setattr(shelling, "split_block", counted)
+    check(4)
+    # 364 covers in the parking poset on [4]
+    assert len(calls) == len(set(calls)) == 364
 
 
 def test_tied_cover_keys_rejected():
