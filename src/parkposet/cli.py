@@ -423,8 +423,19 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     _require(n >= 2 and k >= 1, "need n >= 2 and k >= 1")
     size = (k * n + 1) ** (n - 1)
-    budget = 20000 if args.long else 1000
-    _require(size <= budget, f"poset has {size} elements, above the budget {budget}")
+    # The down masks take size**2 bits, and the build works through
+    # size * k chain entries: about 15 s at the --long bounds.
+    max_size, max_entries = (20000, 500000) if args.long else (1000, 50000)
+    _require(
+        size <= max_size,
+        f"poset has {size} elements, above the element budget {max_size}"
+        f" (its down masks alone take {size * size >> 23} MB)",
+    )
+    _require(
+        size * k <= max_entries,
+        f"poset has {size} chains of length {k}, {size * k} chain entries,"
+        f" above the chain entry budget {max_entries}",
+    )
     poset = build_ppk_poset(n, k)
     if args.format == "dot":
         _emit(poset.to_dot(_chain_label), args.output)

@@ -207,14 +207,23 @@ def cluster_leq(
 
 
 def build_cluster_poset(n: int) -> FinitePoset:
-    """The cluster parking poset, covers computed from the full order."""
+    """The cluster parking poset: face containment, with the empty face
+    below every face, ANDed with the parking order, both pulled back
+    from posets already built (face_poset and build_pp_poset)."""
     pairs = cluster_elements(n)
     pp = build_pp_poset(n)
-    ids = [pp.index[elem] for _, elem in pairs]
-    below = [pp.downset_mask(t) for t in ids]
-    return FinitePoset.from_leq(
-        pairs, lambda i, j: below[j] >> ids[i] & 1 and pairs[i][0] <= pairs[j][0]
+    faces = face_poset(enumerate_forest_faces(n))
+    empty = sum(1 << i for i, (face, _) in enumerate(pairs) if not face)
+    face_below = faces.pull_back(
+        (i, faces.index[face]) for i, (face, _) in enumerate(pairs) if face
     )
+    elem_below = pp.pull_back((i, pp.index[elem]) for i, (_, elem) in enumerate(pairs))
+    down = [
+        (empty | (face_below[faces.index[face]] if face else 0))
+        & elem_below[pp.index[elem]]
+        for face, elem in pairs
+    ]
+    return FinitePoset.from_down_masks(pairs, down)
 
 
 def cluster_action(

@@ -88,15 +88,17 @@ def nck_leq(
 
 
 def build_nck_poset(n: int, k: int) -> FinitePoset:
-    """Poset of k-divisible noncrossing partitions in the chain picture,
-    comparing relative complements by their NC_n ids."""
+    """Poset of k-divisible noncrossing partitions in the chain picture:
+    the NC_n up masks pulled back along each relative complement
+    coordinate, ANDed, since the chain order reverses containment."""
     chains = nck_elements(n, k)
     nc = build_nc_poset(n)
     nu = [[nc.index[p] for p in relative_complement_chain(n, c)] for c in chains]
-    below = [[nc.downset_mask(p) for p in vector] for vector in nu]
-    return FinitePoset.from_leq(
-        chains, lambda i, j: all(d >> p & 1 for d, p in zip(below[i], nu[j]))
-    )
+    down = [-1] * len(chains)
+    for t in range(k):
+        above = nc.pull_back(((i, vector[t]) for i, vector in enumerate(nu)), dual=True)
+        down = [d & above[vector[t]] for d, vector in zip(down, nu)]
+    return FinitePoset.from_down_masks(chains, down)
 
 
 def ppk_elements(n: int, k: int) -> list[tuple[ParkingElement, ...]]:
@@ -119,17 +121,17 @@ def ppk_leq(
 
 def build_ppk_poset(n: int, k: int) -> FinitePoset:
     """Poset of k-divisible noncrossing 2-partitions in the chain picture:
-    last elements compare by their build_pp_poset ids, underlying
-    noncrossing chains by their build_nck_poset ids."""
+    the build_pp_poset order pulled back along last elements, ANDed with
+    the build_nck_poset order pulled back along underlying noncrossing
+    chains."""
     chains = ppk_elements(n, k)
     pp, nck = build_pp_poset(n), build_nck_poset(n, k)
     tops = [pp.index[c[-1]] for c in chains]
     ncs = [nck.index[tuple(x.partition for x in c)] for c in chains]
-    tops_below = [pp.downset_mask(t) for t in tops]
-    ncs_below = [nck.downset_mask(c) for c in ncs]
-    return FinitePoset.from_leq(
-        chains,
-        lambda i, j: tops_below[j] >> tops[i] & 1 and ncs_below[j] >> ncs[i] & 1,
+    tops_below = pp.pull_back(enumerate(tops))
+    ncs_below = nck.pull_back(enumerate(ncs))
+    return FinitePoset.from_down_masks(
+        chains, [tops_below[t] & ncs_below[c] for t, c in zip(tops, ncs)]
     )
 
 

@@ -224,19 +224,31 @@ class FinitePoset:
     def induced(self, keep: Iterable[Hashable]) -> "FinitePoset":
         """Induced subposet on a subset of elements, with covers recomputed
         from the full order relation."""
-        self._ensure_masks()
         keep_idx = sorted(self.index[x] for x in keep)
-        keep_mask = 0
-        for i in keep_idx:
-            keep_mask |= 1 << i
-        covers = []
-        for i in keep_idx:
-            strictly_above = self._upmasks[i] & keep_mask & ~(1 << i)
-            for j in _bits(strictly_above):
-                between = self._upmasks[i] & self._downmasks[j] & keep_mask
-                if between == (1 << i | 1 << j):
-                    covers.append((self.elements[i], self.elements[j]))
-        return FinitePoset([self.elements[i] for i in keep_idx], covers)
+        below = self.pull_back(enumerate(keep_idx))
+        return FinitePoset.from_down_masks(
+            [self.elements[i] for i in keep_idx], [below[i] for i in keep_idx]
+        )
+
+    def pull_back(
+        self, coords: Iterable[tuple[int, int]], dual: bool = False
+    ) -> list[int]:
+        """For the pairs (i, c) of coords, derived id i sent to id c, the
+        mask of derived ids sent at or below each id (at or above it when
+        dual), one OR per cover.  A derived order that intersects such
+        orders has ANDs of these masks as its down masks."""
+        pull = [0] * len(self.elements)
+        for i, c in coords:
+            pull[c] |= 1 << i
+        order, below = self.linear_extension, self.down
+        if dual:
+            order, below = order[::-1], self.up
+        for b in order:
+            mask = pull[b]
+            for c in below[b]:
+                mask |= pull[c]
+            pull[b] = mask
+        return pull
 
     def _restrict(self, keep: list[int]) -> "FinitePoset":
         """Subposet on the kept indices, in increasing order, with the
@@ -321,31 +333,42 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
     @classmethod
+    def from_down_masks(
+        cls, elements: Sequence[Hashable], down: Sequence[int]
+    ) -> "FinitePoset":
+        """Build a poset from its down masks, down[i] being the mask of
+        the indices at or below i, i included.  The covers of i are the
+        maximal elements of the rest of its down mask: visited from the
+        largest down mask to the smallest, an element is a cover unless
+        it lies below a cover already found."""
+        elements = list(elements)
+        size = [mask.bit_count() for mask in down]
+        covers = []
+        for i, mask in enumerate(down):
+            below = 1 << i
+            for j in sorted(_bits(mask ^ below), key=size.__getitem__, reverse=True):
+                if not below >> j & 1:
+                    covers.append((elements[j], elements[i]))
+                    below |= down[j]
+        return cls(elements, covers)
+
+    @classmethod
     def from_leq(
         cls,
         elements: Sequence[Hashable],
         leq: Callable[[int, int], bool],
     ) -> "FinitePoset":
         """Build a poset from a comparison oracle on indices, leq(i, j)
-        being whether elements[i] <= elements[j], by computing the full
-        relation and reducing it to covers.  Quadratic in the number of
-        elements with a cubic bit-parallel reduction; meant for posets of
-        up to a few thousand elements."""
-        elements = list(elements)
+        being whether elements[i] <= elements[j].  This is the comparator
+        route: it calls leq on all ordered pairs of distinct indices, so
+        it is quadratic in the number of elements, and hands the down
+        masks to from_down_masks.  Builders whose order is pulled back
+        from posets already built use pull_back and from_down_masks."""
         m = len(elements)
-        down = [1 << i for i in range(m)]
-        up = [1 << i for i in range(m)]
-        for i in range(m):
-            for j in range(m):
-                if i != j and leq(j, i):
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
-        covers = []
-        for i in range(m):
-            for j in _bits(down[i] & ~(1 << i)):
-                if down[i] & up[j] == (1 << i | 1 << j):
-                    covers.append((elements[j], elements[i]))
-        return cls(elements, covers)
+        down = [
+            sum(1 << j for j in range(m) if j == i or leq(j, i)) for i in range(m)
+        ]
+        return cls.from_down_masks(elements, down)
 
 
 def _refinement_colors(poset: FinitePoset) -> list[int]:

@@ -10,12 +10,12 @@ condition, and checkers for the supporting statistics (split block,
 code jump, zero prefix) and their structural properties.
 
 Every check that uses the cover order reads one table of cover keys
-per poset (``_edge_keys``: ``cover_key`` on the parking side,
-``transposition_label`` on the noncrossing side) and one earlier-swap
-test (``_earlier_swap``); both fork lemmas run one loop.  The parking
-checks run on the ids of ``build_pp_poset(n)``, with one code per
-element (``_codes``) and joins read from ``build_pp_poset_hat(n)``,
-whose id m is the adjoined top.
+per poset (``_edge_keys``: ``transposition_label`` on the noncrossing
+side, and on the parking side ``cover_key`` in one cached table per n,
+``_parking_cover_keys``) and one earlier-swap test (``_earlier_swap``);
+both fork lemmas run one loop.  The parking checks run on the ids of
+``build_pp_poset(n)``, with one code per element (``_codes``) and joins
+read from ``build_pp_poset_hat(n)``, whose id m is the adjoined top.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -166,6 +166,14 @@ def _edge_keys(poset: FinitePoset, key: Callable) -> dict[tuple[int, int], tuple
     return keys
 
 
+@cache
+def _parking_cover_keys(n: int) -> dict[tuple[int, int], tuple]:
+    """The ``cover_key`` table of ``build_pp_poset(n)``.  It also serves
+    ``build_pp_poset_hat(n)``, whose ids below m are the same and whose
+    edges into the sentinel top carry no key."""
+    return _edge_keys(build_pp_poset(n), cover_key)
+
+
 def _earlier_swap(poset: FinitePoset, keys: dict, x: int, y: int, z: int) -> bool:
     """Whether some cover of x other than y is covered by z and precedes
     y in the cover order at x.
@@ -212,7 +220,7 @@ def verify_shelling(n: int) -> ShellingReport:
     by grouping chains on their restriction to each occurring D(p).
     """
     poset = build_pp_poset_hat(n)
-    keys = _edge_keys(poset, cover_key)
+    keys = _parking_cover_keys(n)
     chains = _sorted_chains(poset, keys)
 
     # chains share most wedges x < y < z, so each is tested once
@@ -258,13 +266,13 @@ class ForkReport:
 def _verify_fork(
     n: int,
     poset: FinitePoset,
-    key: Callable,
+    keys: dict[tuple[int, int], tuple],
     lattice: FinitePoset,
 ) -> ForkReport:
     """The fork check of ``verify_fork_lemma`` on a poset whose covers
-    are ordered by ``key``; joins are read from ``lattice``, a bounded
-    lattice whose ids below ``len(poset)`` are those of ``poset``."""
-    keys = _edge_keys(poset, key)
+    are ordered by the key table ``keys``; joins are read from
+    ``lattice``, a bounded lattice whose ids below ``len(poset)`` are
+    those of ``poset``."""
     elements = poset.elements
     up = poset.up
     report = ForkReport(n=n)
@@ -306,7 +314,9 @@ def verify_fork_lemma(n: int) -> ForkReport:
     Returns a report counting how often each branch applies; both
     branches are exercised for n >= 4.
     """
-    return _verify_fork(n, build_pp_poset(n), cover_key, build_pp_poset_hat(n))
+    return _verify_fork(
+        n, build_pp_poset(n), _parking_cover_keys(n), build_pp_poset_hat(n)
+    )
 
 
 # ----- structural properties of the statistics -----
@@ -460,7 +470,7 @@ def check_minimal_jump_grows(n: int) -> int:
     poset = build_pp_poset(n)
     codes = _codes(poset)
     up = poset.up
-    keys = _edge_keys(poset, cover_key)
+    keys = _parking_cover_keys(n)
     checked = 0
     for x, code in enumerate(codes):
         for y in up[x]:
@@ -532,7 +542,7 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     """The fork property also holds in the noncrossing lattice, with
     covers ordered by their transposition labels."""
     poset = build_nc_poset(n)
-    return _verify_fork(n, poset, transposition_label, poset)
+    return _verify_fork(n, poset, _edge_keys(poset, transposition_label), poset)
 
 
 # ----- failure of the recursive atom ordering criterion -----

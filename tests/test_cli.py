@@ -293,8 +293,48 @@ class TestKdivisible:
             assert line.endswith(",yes")
 
     def test_budget_guard(self, capsys):
-        code, _ = run(capsys, "kdivisible", "--n", "5", "--k", "2")
-        assert code == 2
+        # each request exits 2 before building, naming the limit it hit;
+        # 999 elements fit the default element budget, 999 * 499 chain
+        # entries do not
+        for argv, limit in (
+            (("--n", "5", "--k", "2"), "element budget 1000"),
+            (("--n", "2", "--k", "499"), "chain entry budget 50000"),
+            (("--n", "5", "--k", "3", "--long"), "element budget 20000"),
+            (("--n", "2", "--k", "2000", "--long"), "chain entry budget 500000"),
+        ):
+            code = main(["kdivisible", *argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert limit in captured.err
+
+    @staticmethod
+    def _long_size_five(*extra):
+        # A separate process, so the 14641-element poset and its masks
+        # are not kept in this process.
+        return subprocess.run(
+            [sys.executable, "-m", "parkposet.cli", "kdivisible", "--n", "5",
+             "--k", "2", "--long", *extra],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_long_size_five(self):
+        result = self._long_size_five()
+        assert result.returncode == 0
+        data = json.loads(result.stdout)
+        assert data["elements"] == data["elements_closed"] == 14641
+        assert data["mobius"] == data["mobius_closed"] == -(9 ** 4)
+        assert data["primes"] == data["primes_closed"] == 9 ** 4
+
+    def test_long_size_five_character(self):
+        result = self._long_size_five("--character")
+        assert result.returncode == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        # the Lefschetz column carries the sign (-1)**(n - 2) of the top
+        # homology of the proper part
+        assert [int(row[1]) for row in rows] == [6561, -729, 81, 81, -9, -9, 1]
+        assert all(row[1] == row[2] and row[3] == "yes" for row in rows)
 
     def test_broken_invariant_exits_1(self, capsys, monkeypatch):
         def broken(n, k):

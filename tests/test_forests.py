@@ -38,6 +38,7 @@ from parkposet.nc import NoncrossingPartition, Permutation, kreweras_inverse, nc
 from parkposet.numbers import catalan
 from parkposet.objects import enumerate_elements
 from parkposet.parking_order import build_nc_poset, build_pp_poset, ideal
+from parkposet.poset import FinitePoset
 
 
 ALL_EDGES_5 = [(i, j) for i in range(1, 5) for j in range(i + 1, 6)]
@@ -266,6 +267,7 @@ class TestClusterPoset:
 
         monkeypatch.setattr(forests, "pp_leq", refuse)
         monkeypatch.setattr(forests, "cluster_leq", refuse)
+        monkeypatch.setattr(FinitePoset, "from_leq", refuse)
         assert len(build_cluster_poset(3)) == 22
 
     def test_action_preserves_order(self):

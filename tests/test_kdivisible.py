@@ -131,9 +131,10 @@ class TestNckPoset:
             assert poset.zeta_count(j) == fuss_catalan(n, j * k + 1)
 
     def test_nck_leq_matches_poset(self, nck32):
-        for a in nck32.elements:
-            for b in nck32.elements:
-                assert nck_leq(a, b) == nck32.leq(a, b)
+        for poset in (nck32, build_nck_poset(4, 2)):
+            for a in poset.elements:
+                for b in poset.elements:
+                    assert nck_leq(a, b) == poset.leq(a, b)
 
 
 def test_builders_compare_base_poset_ids(monkeypatch):
@@ -142,6 +143,7 @@ def test_builders_compare_base_poset_ids(monkeypatch):
 
     for name in ("pp_leq", "nc_leq", "ppk_leq", "nck_leq"):
         monkeypatch.setattr(kdivisible, name, refuse)
+    monkeypatch.setattr(FinitePoset, "from_leq", refuse)
     assert len(build_ppk_poset(3, 2)) == 49
     assert len(build_nck_poset(3, 2)) == fuss_catalan(3, 3)
 
@@ -249,10 +251,11 @@ class TestPpkPoset:
             ).count("1")
             assert size == nc_size
 
-    def test_ppk_leq_matches_poset(self, ppk32):
-        for a in ppk32.elements:
-            for b in ppk32.elements:
-                assert ppk_leq(a, b) == ppk32.leq(a, b)
+    def test_ppk_leq_matches_poset(self, ppk32, ppk33):
+        for poset in (ppk32, ppk33):
+            for a in poset.elements:
+                for b in poset.elements:
+                    assert ppk_leq(a, b) == poset.leq(a, b)
 
     def test_projection_to_nc_chains_preserves_order(self, ppk32, nck32):
         elements = ppk32.elements[::5]

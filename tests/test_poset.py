@@ -340,6 +340,34 @@ def test_join_meet_index_are_unique_extreme_bounds(keep):
             )
 
 
+def cover_pairs(poset):
+    return {(poset.elements[i], poset.elements[j]) for i, j in poset.cover_index_pairs()}
+
+
+@given(st.lists(st.integers(0, 15), min_size=1, unique=True))
+def test_from_down_masks_matches_from_leq(keep):
+    # keep lists subsets of {0, 1, 2, 3} as bit masks, in any order
+    def below(a, b):
+        return a & b == a
+
+    m = len(keep)
+    down = [
+        sum(1 << j for j in range(m) if below(keep[j], keep[i])) for i in range(m)
+    ]
+    poset = FinitePoset.from_down_masks(keep, down)
+    oracle = FinitePoset.from_leq(keep, lambda i, j: below(keep[i], keep[j]))
+    covers = {
+        (a, b)
+        for a in keep
+        for b in keep
+        if a != b
+        and below(a, b)
+        and not any(below(a, c) and below(c, b) for c in keep if c not in (a, b))
+    }
+    assert cover_pairs(poset) == cover_pairs(oracle) == covers
+    assert cover_pairs(boolean(4).induced(keep)) == covers
+
+
 @given(st.integers(0, 124), st.integers(0, 124))
 def test_join_meet_sampled_n4(i, j):
     poset = build_pp_poset(4)

@@ -200,6 +200,15 @@ def test_chain_sort_matches_pairwise_comparison(n):
     assert sorted_maximal_chains(poset) == reference_chain_order(poset)
 
 
+@pytest.fixture
+def fresh_parking_keys():
+    """Clear the cached parking cover-key tables around a test that counts
+    the calls building them."""
+    shelling._parking_cover_keys.cache_clear()
+    yield
+    shelling._parking_cover_keys.cache_clear()
+
+
 @pytest.mark.parametrize(
     "check,name,n,covers",
     [
@@ -208,7 +217,7 @@ def test_chain_sort_matches_pairwise_comparison(n):
         (verify_nc_fork_lemma, "transposition_label", 4, 28),
     ],
 )
-def test_one_key_per_cover(monkeypatch, check, name, n, covers):
+def test_one_key_per_cover(monkeypatch, fresh_parking_keys, check, name, n, covers):
     # covers counts the covers of the poset the check builds, leaving out
     # those into the sentinel top
     original = getattr(shelling, name)
@@ -251,7 +260,7 @@ def test_checks_join_on_ids(monkeypatch):
 
 
 @pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
-def test_one_code_per_element(monkeypatch, check):
+def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
     original = shelling.permutation_code
     calls = []
 
@@ -279,6 +288,22 @@ def test_one_split_block_per_cover(monkeypatch, check):
     monkeypatch.setattr(shelling, "split_block", counted)
     check(4)
     # 364 covers in the parking poset on [4]
+    assert len(calls) == len(set(calls)) == 364
+
+
+def test_one_parking_key_table_per_n(monkeypatch, fresh_parking_keys):
+    original = shelling.cover_key
+    calls = []
+
+    def counted(lower, upper):
+        calls.append((lower, upper))
+        return original(lower, upper)
+
+    monkeypatch.setattr(shelling, "cover_key", counted)
+    assert verify_shelling(4).ok
+    assert verify_fork_lemma(4).ok
+    assert check_minimal_jump_grows(4) == 216
+    # 364 covers in the parking poset on [4], keyed once for all three
     assert len(calls) == len(set(calls)) == 364
 
 
