@@ -93,7 +93,20 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
     coordinate, ANDed, since the chain order reverses containment."""
     chains = nck_elements(n, k)
     nc = build_nc_poset(n)
-    nu = [[nc.index[p] for p in relative_complement_chain(n, c)] for c in chains]
+    bottom = nc.index[NoncrossingPartition.bottom(n)]
+    # One relative complement per distinct (previous, part) pair of ids.
+    complement: dict[tuple[int, int], int] = {}
+    nu = []
+    for chain in chains:
+        vector, previous = [], bottom
+        for part in map(nc.index.__getitem__, chain):
+            if (previous, part) not in complement:
+                complement[previous, part] = nc.index[
+                    relative_kreweras(nc.elements[previous], nc.elements[part])
+                ]
+            vector.append(complement[previous, part])
+            previous = part
+        nu.append(vector)
     down = [-1] * len(chains)
     for t in range(k):
         above = nc.pull_back(((i, vector[t]) for i, vector in enumerate(nu)), dual=True)
@@ -102,9 +115,21 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
 
 
 def ppk_elements(n: int, k: int) -> list[tuple[ParkingElement, ...]]:
-    """Weak k-chains of the parking function poset; (kn+1)^(n-1) many."""
+    """Weak k-chains of the parking function poset; (kn+1)^(n-1) many,
+    listed as weak_chains lists them over enumerate_elements."""
+    if k < 1:
+        raise ValueError("chain length must be at least 1")
     pp = build_pp_poset(n)
-    ids = weak_chains([pp.index[e] for e in enumerate_elements(n)], pp.leq_index, k)
+    order = [pp.index[e] for e in enumerate_elements(n)]
+    # The ids at or above each id, in enumerate_elements order.
+    above: list[list[int]] = [[] for _ in order]
+    below = pp.down_lists()
+    for j in order:
+        for i in below[j]:
+            above[i].append(j)
+    ids = [(i,) for i in order]
+    for _ in range(k - 1):
+        ids = [chain + (j,) for chain in ids for j in above[chain[-1]]]
     return [tuple(pp.elements[i] for i in chain) for chain in ids]
 
 

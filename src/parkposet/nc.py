@@ -91,17 +91,22 @@ class SetPartition:
         return cls(n, [[i] for i in range(1, n + 1)])
 
 
-def is_noncrossing(partition: SetPartition) -> bool:
-    """Check the noncrossing condition pairwise on blocks.
+def _blocks_cross(b1: Sequence[int], b2: Sequence[int]) -> bool:
+    """Whether two disjoint sorted blocks with min b1 < min b2 cross.
 
-    For blocks B1, B2 with min B1 < min B2, every element of B2 must fall
-    into the same gap of B1, where the gap of x is the number of elements
-    of B1 below x.  Two distinct gaps force an alternation i < j < k < l
-    with i, k in B1 and j, l in B2.
+    The blocks do not cross when every element of b2 falls into the same
+    gap of b1, where the gap of x is the number of elements of b1 below x.
+    Two distinct gaps force an alternation i < j < k < l with i, k in b1
+    and j, l in b2.  Gaps grow along the sorted b2, so its first and last
+    elements decide.
     """
+    return bisect_left(b1, b2[0]) != bisect_left(b1, b2[-1])
+
+
+def is_noncrossing(partition: SetPartition) -> bool:
+    """Check the noncrossing condition pairwise on blocks."""
     for b1, b2 in combinations(partition.blocks, 2):
-        gaps = {bisect_left(b1, x) for x in b2}
-        if len(gaps) > 1:
+        if _blocks_cross(b1, b2):
             return False
     return True
 
@@ -115,6 +120,42 @@ class NoncrossingPartition(SetPartition):
         super().__init__(n, blocks)
         if not is_noncrossing(self):
             raise ValueError(f"partition {self.blocks!r} is crossing")
+
+
+def noncrossing_closure(n: int, groups: Iterable[Iterable[int]]) -> NoncrossingPartition:
+    """The finest noncrossing partition of [n] with each group inside one block.
+
+    Union-find joins each group into one block; then any two crossing
+    blocks merge until none cross.  Every noncrossing partition in which
+    the groups share blocks must make the same merges, so the result is
+    the unique finest one.
+    """
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        group = list(group)
+        for a, b in zip(group, group[1:]):
+            parent[find(b)] = find(a)
+    by_root: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        by_root.setdefault(find(x), []).append(x)
+    # Blocks stay sorted by minimum: a merge keeps the earlier minimum.
+    blocks = sorted(by_root.values())
+    merged = True
+    while merged:
+        merged = False
+        for i, j in combinations(range(len(blocks)), 2):
+            if _blocks_cross(blocks[i], blocks[j]):
+                blocks[i] = sorted(blocks[i] + blocks.pop(j))
+                merged = True
+                break
+    return NoncrossingPartition(n, blocks)
 
 
 def nc_leq(p: SetPartition, q: SetPartition) -> bool:

@@ -12,7 +12,9 @@ artificial top turns it into a lattice.
 
 Below an element sits one element per noncrossing coarsening of its
 partition (descend), so its ideal is its partition's ideal in NC_n and
-its lower covers are the NC_n lower covers lifted by descent.
+its lower covers are the NC_n lower covers lifted by descent.  A meet is
+one descent too, to the finest noncrossing partition on which the two
+elements descend alike (pp_meet).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .nc import NoncrossingPartition, SetPartition
+from .nc import NoncrossingPartition, SetPartition, noncrossing_closure
 from .objects import ParkingElement, enumerate_elements
 from .poset import FinitePoset
 
@@ -148,28 +150,27 @@ def pp_leq_by_refinement(a: ParkingElement, b: ParkingElement) -> bool:
 def upper_covers(elem: ParkingElement) -> list[ParkingElement]:
     """Split a block into a contiguous run and its complement, and
     distribute the label set among the two new blocks in every way that
-    matches the new sizes."""
+    matches the new sizes; one noncrossing partition per split."""
     out = []
     blocks = elem.partition.blocks
     labels = elem.labels
     n = elem.n
     for idx, (block, lab) in enumerate(zip(blocks, labels)):
         m = len(block)
-        others = [
-            (b, l) for t, (b, l) in enumerate(zip(blocks, labels)) if t != idx
-        ]
+        others = blocks[:idx] + blocks[idx + 1 :]
         for i in range(1, m):
             for j in range(i, m):
                 b2 = block[i : j + 1]
                 b1 = block[:i] + block[j + 1 :]
+                split = NoncrossingPartition(n, others + (b1, b2))
+                # b1 keeps the minimum, so it stays at idx; b2 sorts after it.
+                at = split.blocks.index(b2)
                 for s2 in combinations(lab, len(b2)):
                     taken = set(s2)
-                    s1 = [x for x in lab if x not in taken]
-                    out.append(
-                        element_from_block_labels(
-                            n, others + [(b1, s1), (b2, list(s2))]
-                        )
-                    )
+                    split_labels = list(labels)
+                    split_labels[idx] = [x for x in lab if x not in taken]
+                    split_labels.insert(at, s2)
+                    out.append(ParkingElement.from_triple(split, split_labels))
     return out
 
 
@@ -257,10 +258,19 @@ def pp_join_many(elems: Iterable[ParkingElement]):
 
 
 def pp_meet(a: ParkingElement, b: ParkingElement) -> ParkingElement:
-    """Greatest lower bound, as the join of all common lower bounds."""
-    lower = [x for x in ideal(a) if pp_leq(x, b)]
-    result = pp_join_many(lower)
-    if result is TOP or not (pp_leq(result, a) and pp_leq(result, b)):
+    """Greatest lower bound, by noncrossing closure.
+
+    The elements below a are descend(a, p) for the noncrossing p coarser
+    than its partition, and descend(a, p) == descend(b, p) exactly when
+    each position's two letters a.word[i], b.word[i] share a p-block.  So
+    the meet descends a to the finest noncrossing partition in which the
+    blocks of both partitions and every letter pair lie inside blocks.
+    """
+    if a.n != b.n:
+        raise ValueError("elements live on different ground sets")
+    groups = [*a.partition.blocks, *b.partition.blocks, *zip(a.word, b.word)]
+    result = descend(a, noncrossing_closure(a.n, groups))
+    if not (pp_leq(result, a) and pp_leq(result, b)):
         raise RuntimeError(f"meet computation failed for {a!r}, {b!r}")
     return result
 

@@ -42,6 +42,7 @@ from parkposet.nc import (
     Permutation,
     class_representatives,
     kreweras,
+    relative_kreweras,
 )
 from parkposet.numbers import chain_count, fuss_catalan
 from parkposet.parking_order import build_pp_poset, descend, ideal, pp_leq
@@ -146,6 +147,42 @@ def test_builders_compare_base_poset_ids(monkeypatch):
     monkeypatch.setattr(FinitePoset, "from_leq", refuse)
     assert len(build_ppk_poset(3, 2)) == 49
     assert len(build_nck_poset(3, 2)) == fuss_catalan(3, 3)
+
+
+def test_ppk_chains_extend_from_masks(monkeypatch):
+    # Only the parking poset's comparator is watched: nck_elements still
+    # compares through build_nc_poset(n).leq.
+    pp = build_pp_poset(3)
+    calls = []
+    original = pp.leq_index
+
+    def counted(i, j):
+        calls.append((i, j))
+        return original(i, j)
+
+    monkeypatch.setattr(pp, "leq_index", counted)
+    assert len(build_ppk_poset(3, 2)) == 49
+    assert kdivisible.build_pp_poset(3) is pp
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (2, 5)])
+def test_one_relative_complement_per_pair(monkeypatch, n, k):
+    calls = []
+
+    def counted(p, t):
+        calls.append((p, t))
+        return relative_kreweras(p, t)
+
+    monkeypatch.setattr(kdivisible, "relative_kreweras", counted)
+    poset = build_nck_poset(n, k)
+    chains = nck_elements(n, k)
+    bottom = NoncrossingPartition.bottom(n)
+    pairs = {pair for c in chains for pair in zip((bottom,) + c, c)}
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert poset.elements == chains
+    oracle = FinitePoset.from_leq(chains, lambda i, j: nck_leq(chains[i], chains[j]))
+    assert poset.cover_index_pairs() == oracle.cover_index_pairs()
 
 
 class TestPosetsIsomorphic:

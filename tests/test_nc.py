@@ -21,6 +21,7 @@ from parkposet.nc import (
     lukasiewicz_decode,
     lukasiewicz_encode,
     nc_leq,
+    noncrossing_closure,
     partition_from_permutation,
     permutation_code,
     relative_kreweras,
@@ -103,6 +104,18 @@ def test_enumeration_count_is_catalan(n):
 def test_enumeration_matches_filter_oracle(n):
     by_filter = {p for p in enumerate_all_partitions(n) if is_noncrossing(p)}
     assert set(nc_list(n)) == by_filter
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_noncrossing_closure_is_finest_coarsening(n):
+    for p in enumerate_all_partitions(n):
+        closure = noncrossing_closure(n, p.blocks)
+        coarser = [q for q in nc_list(n) if p.refines(q)]
+        finest = max(coarser, key=len)
+        assert all(finest.refines(q) for q in coarser)
+        assert closure == finest
+        if is_noncrossing(p):
+            assert closure.blocks == p.blocks
 
 
 def test_enumeration_guard():

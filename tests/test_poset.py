@@ -1,6 +1,7 @@
 """Poset kernel plus the order structure of the parking poset."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from parkposet.nc import (
     nc_leq,
 )
 from parkposet.numbers import catalan, chain_count, stirling2, whitney_first_kind
-from parkposet.objects import ParkingElement
+from parkposet.objects import ParkingElement, enumerate_elements
 from parkposet.parking_order import (
     TOP,
     build_nc_poset,
@@ -254,6 +255,25 @@ def test_builder_lifts_nc_covers(monkeypatch):
         build_pp_poset.cache_clear()
 
 
+def test_one_partition_per_split(monkeypatch):
+    calls = []
+
+    class Counted(NoncrossingPartition):
+        __slots__ = ()
+
+        def __init__(self, n, blocks):
+            calls.append(n)
+            super().__init__(n, blocks)
+
+    for elem in build_pp_poset(4).elements:
+        splits = len(nc_upper_covers(elem.partition))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(parking_order, "NoncrossingPartition", Counted)
+            upper_covers(elem)
+        assert len(calls) == splits
+
+
 def test_upper_and_lower_covers_are_inverse_relations():
     for n in range(1, 5):
         poset = build_pp_poset(n)
@@ -310,12 +330,27 @@ def test_join_meet_against_poset_oracle(n):
 
 
 def test_join_against_poset_oracle_n4():
-    # joins only: pp_meet over all 125**2 pairs would take seconds
     poset = build_pp_poset(4)
     hat = build_pp_poset_hat(4)
     for a in poset.elements:
         for b in poset.elements:
             assert pp_join(a, b) == hat.join(a, b)
+            assert pp_meet(a, b) == poset.meet(a, b)
+
+
+def meet_by_ideal(a, b):
+    """The meet as the join of every common lower bound: the ideal of a,
+    filtered by pp_leq against b, folded by pp_join_many."""
+    return pp_join_many(x for x in ideal(a) if pp_leq(x, b))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_meet_matches_ideal_oracle(n):
+    rng = random.Random(n)
+    elements = list(enumerate_elements(n))
+    for _ in range(500):
+        a, b = rng.choice(elements), rng.choice(elements)
+        assert pp_meet(a, b) == meet_by_ideal(a, b)
 
 
 def unique_minimal(poset, mask, below):
