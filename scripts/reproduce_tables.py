@@ -53,10 +53,9 @@ def main() -> int:
 
     print("homology character tables (Lefschetz vs closed formula)")
     for n in range(3, min(nmax, 4) + 1):
-        proper = build_pp_poset(n).without_bottom()
         print(f"  n={n}:")
         for perm in class_representatives(n):
-            value = top_homology_character(n, perm, proper=proper)
+            value = top_homology_character(n, perm)
             closed = signed_prime_character(n, 1, perm)
             flag = "ok" if value == closed else "MISMATCH"
             print(f"    {cycle_label(perm):>10}: {value:>5} (closed {closed}) {flag}")

@@ -63,7 +63,7 @@ from .kdivisible import (
     build_nck_poset,
     build_ppk_poset,
     is_prime_chain,
-    ppk_action,
+    ppk_action_ids,
 )
 from .nc import NoncrossingPartition, Permutation, class_representatives
 from .numbers import catalan, chain_count, fuss_catalan, stirling2, whitney_first_kind
@@ -78,9 +78,10 @@ from .parking_order import (
     build_nc_poset,
     build_pp_poset,
     permutahedron_face_poset,
+    pp_action_ids,
     right_comb_subposet,
 )
-from .poset import posets_isomorphic
+from .poset import FinitePoset, posets_isomorphic
 from .series import (
     TruncatedSeries,
     chain_inverse_series,
@@ -342,29 +343,39 @@ def cmd_shelling(args: argparse.Namespace) -> int:
 # ----- homology -----
 
 
+def _character_table(
+    args: argparse.Namespace, n: int, k: int, poset: FinitePoset, image_of: Callable
+) -> int:
+    """Emit the Lefschetz character of each class of S_n on the top
+    homology of the proper part of poset, image_of(perm) being the id
+    permutation of perm, next to signed_prime_character(n, k, perm)."""
+    sign = -1 if (n - 2) % 2 else 1
+    rows = []
+    ok = True
+    for perm in class_representatives(n):
+        value = sign * lefschetz_number(poset, image_of(perm))
+        closed = signed_prime_character(n, k, perm)
+        match = value == closed
+        ok = ok and match
+        rows.append((_cycle_type_label(perm), value, closed, "yes" if match else "no"))
+    header = ("cycle_type", "lefschetz", "closed", "match")
+    if args.format == "json":
+        data = [dict(zip(header, row)) for row in rows]
+        _emit(_json_text({"n": n, "ok": ok, "characters": data}), args.output)
+    else:
+        _emit(_csv_text(header, rows), args.output)
+    return 0 if ok else 1
+
+
 def cmd_homology(args: argparse.Namespace) -> int:
     n = args.n
-    _require(2 <= n <= (5 if args.long else 4), "need 2 <= n <= 4 (5 with --long)")
     if args.character:
-        poset = build_pp_poset(n)
-        proper = poset.without_bottom()
-        rows = []
-        ok = True
-        for perm in class_representatives(n):
-            value = top_homology_character(n, perm, proper=proper)
-            closed = signed_prime_character(n, 1, perm)
-            match = value == closed
-            ok = ok and match
-            rows.append(
-                (_cycle_type_label(perm), value, closed, "yes" if match else "no")
-            )
-        header = ("cycle_type", "lefschetz", "closed", "match")
-        if args.format == "json":
-            data = [dict(zip(header, row)) for row in rows]
-            _emit(_json_text({"n": n, "ok": ok, "characters": data}), args.output)
-        else:
-            _emit(_csv_text(header, rows), args.output)
-        return 0 if ok else 1
+        # One Mobius recursion per class: n = 6 takes about 2 s.
+        _require(2 <= n <= (6 if args.long else 4), "need 2 <= n <= 4 (6 with --long)")
+        return _character_table(
+            args, n, 1, build_pp_poset(n), lambda perm: pp_action_ids(n, perm)
+        )
+    _require(2 <= n <= (5 if args.long else 4), "need 2 <= n <= 4 (5 with --long)")
     betti = parking_betti(n)
     rows = [(degree - 1, rank) for degree, rank in enumerate(betti)]
     if args.format == "json":
@@ -436,30 +447,17 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
         f"poset has {size} chains of length {k}, {size * k} chain entries,"
         f" above the chain entry budget {max_entries}",
     )
+    # With no --format, the character table is csv and the summary json.
+    if args.character:
+        _require(args.format != "dot", "--character supports --format csv or json")
     poset = build_ppk_poset(n, k)
+    if args.character:
+        return _character_table(
+            args, n, k, poset, lambda perm: ppk_action_ids(poset, perm)
+        )
     if args.format == "dot":
         _emit(poset.to_dot(_chain_label), args.output)
         return 0
-    if args.character:
-        proper = poset.without_bottom()
-        sign = -1 if (n - 2) % 2 else 1
-        rows = []
-        ok = True
-        for perm in class_representatives(n):
-            value = sign * lefschetz_number(
-                proper, lambda c: ppk_action(perm, c)
-            )
-            closed = signed_prime_character(n, k, perm)
-            match = value == closed
-            ok = ok and match
-            rows.append(
-                (_cycle_type_label(perm), value, closed, "yes" if match else "no")
-            )
-        _emit(
-            _csv_text(("cycle_type", "lefschetz", "closed", "match"), rows),
-            args.output,
-        )
-        return 0 if ok else 1
     ranks = poset.whitney_second()
     primes = sum(1 for c in poset.elements if is_prime_chain(c))
     summary = {
@@ -475,13 +473,13 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
         "primes_closed": (k * n - 1) ** (n - 1),
         "nc_chains": fuss_catalan(n, k + 1),
     }
-    if args.format == "json":
-        _emit(_json_text(summary), args.output)
-    else:
+    if args.format == "csv":
         rows = [
             (n, k, l, ranks[l], chain_count(n, k, l)) for l in range(len(ranks))
         ]
         _emit(_csv_text(("n", "k", "l", "count", "closed"), rows), args.output)
+    else:
+        _emit(_json_text(summary), args.output)
     ok = (
         summary["elements"] == summary["elements_closed"]
         and summary["rank_sizes"] == summary["rank_sizes_closed"]
@@ -591,12 +589,11 @@ def _fixed(perm: Permutation, words: Iterable[tuple[int, ...]]) -> int:
 def _verify_characters(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     for n in range(2, top + 1):
-        proper = build_pp_poset(n).without_bottom()
         reps = class_representatives(n)
         words = {k: list(enumerate_parking_words(n, k)) for k in range(1, kmax + 1)}
         prime_words = [w for w in words[1] if is_prime_parking_word(w)]
         for perm in reps:
-            value = top_homology_character(n, perm, proper=proper)
+            value = top_homology_character(n, perm)
             if value != signed_prime_character(n, 1, perm):
                 return False, f"n={n}, type {_cycle_type_label(perm)}: {value}"
             fixed_prime = _fixed(perm, prime_words)
@@ -847,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, required=True, help="divisibility parameter")
     p.add_argument("--character", action="store_true", help="character table")
-    p.add_argument("--format", choices=("csv", "json", "dot"), default="json")
+    p.add_argument("--format", choices=("csv", "json", "dot"))
     p.set_defaults(func=cmd_kdivisible)
 
     p = sub.add_parser("verify-all", help="full verification sweep")

@@ -14,7 +14,8 @@ function poset.  Its proper part has reduced homology concentrated in the
 top dimension n - 2, of dimension (n - 1)^(n - 1), and the symmetric group
 character on that homology can be computed two independent ways:
 
-* by the Hopf trace formula, counting chains fixed by a permutation, and
+* by the Hopf trace formula, counting chains fixed by a permutation: by
+  Philip Hall's theorem, one Mobius recursion over the ids it fixes, and
 * by the closed product formula, sign times the prime parking character.
 
 Both routes are exposed and the tests check them against each other.  The
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable
+from typing import Iterable, Sequence
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .numbers import catalan
 from .objects import enumerate_elements
-from .parking_order import build_pp_poset
+from .parking_order import build_pp_poset, pp_action_ids
 from .poset import FinitePoset
 
 # ----- strict chains -----
@@ -207,41 +208,36 @@ def reduced_euler_characteristic(poset: FinitePoset) -> int:
 # ----- characters on homology -----
 
 
-def lefschetz_number(
-    proper: FinitePoset, transform: Callable[[Hashable], Hashable]
-) -> int:
+def lefschetz_number(poset: FinitePoset, image: Sequence[int]) -> int:
     """Alternating trace sum(m) (-1)^m tr(g | C_m) over the augmented chain
-    complex of the order complex, for an order automorphism g.
+    complex of the order complex of the proper part of `poset`, for an
+    order automorphism g given on ids: image[i] is the id of g applied to
+    element i.  `poset` carries its bottom, which g fixes; a poset
+    without a unique bottom raises ValueError.
 
     A chain fixed setwise by an order-preserving map is fixed pointwise,
     and then carries orientation sign +1, so each trace is just a count of
-    chains inside the subposet of fixed elements.  By the Hopf trace
-    formula the result equals the alternating sum of traces on homology;
-    when homology is concentrated in one degree d, the character value
-    there is (-1)^d times this number.
+    chains of fixed elements: the result is the reduced Euler
+    characteristic of the fixed proper part.  By Philip Hall's theorem
+    that is -sum mu(bottom, x) over the fixed x, with mu taken in the
+    fixed subposet, so the Mobius recursion runs over the down lists with
+    every moved id held at 0.  By the Hopf trace formula the result
+    equals the alternating sum of traces on homology; when homology is
+    concentrated in one degree d, the character value there is (-1)^d
+    times this number.
     """
-    fixed = [x for x in proper.elements if transform(x) == x]
-    if len(fixed) == len(proper):
-        sub = proper
-    else:
-        sub = proper.induced(fixed)
-    return reduced_euler_characteristic(sub)
+    return -sum(poset._mobius_ids([g == i for i, g in enumerate(image)]))
 
 
-def top_homology_character(
-    n: int, perm: Permutation, proper: FinitePoset | None = None
-) -> int:
+def top_homology_character(n: int, perm: Permutation) -> int:
     """Character value of a permutation on the reduced homology of the
     proper part of the parking function poset, in its top degree n - 2.
 
-    Computed by the Hopf trace formula; no closed formula is consulted.
-    Passing the proper part explicitly avoids rebuilding the poset when
-    evaluating many permutations.
+    Computed by the Hopf trace formula on the ids of build_pp_poset(n),
+    which permute as pp_action_ids says; no closed formula is consulted.
     """
-    if proper is None:
-        proper = build_pp_poset(n).without_bottom()
     sign = -1 if (n - 2) % 2 else 1
-    return sign * lefschetz_number(proper, lambda e: e.act(perm))
+    return sign * lefschetz_number(build_pp_poset(n), pp_action_ids(n, perm))
 
 
 def signed_prime_character(n: int, k: int, perm: Permutation) -> int:

@@ -33,7 +33,7 @@ from .nc import (
     relative_kreweras,
 )
 from .objects import ParkingElement, enumerate_elements
-from .parking_order import build_nc_poset, build_pp_poset, pp_leq
+from .parking_order import build_nc_poset, build_pp_poset, pp_action_ids, pp_leq
 from .poset import FinitePoset
 
 
@@ -169,6 +169,22 @@ def ppk_action(
     noncrossing partitions, hence also the chain order.
     """
     return tuple(x.act(perm) for x in chain)
+
+
+def ppk_action_ids(poset: FinitePoset, perm: Permutation) -> list[int]:
+    """ppk_action on the ids of a poset of parking chains on [perm.n],
+    such as build_ppk_poset(perm.n, k): entry i is the id of perm applied
+    to chain i.
+
+    The chain's terms move by pp_action_ids and the moved chain is found
+    through poset.index; no element is built.
+    """
+    pp = build_pp_poset(perm.n)
+    moved = [pp.elements[i] for i in pp_action_ids(perm.n, perm)]
+    return [
+        poset.index[tuple(moved[pp.index[x]] for x in chain)]
+        for chain in poset.elements
+    ]
 
 
 def is_prime_chain(chain: Sequence[ParkingElement]) -> bool:

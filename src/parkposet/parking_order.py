@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .nc import NoncrossingPartition, SetPartition, noncrossing_closure
+from .nc import NoncrossingPartition, Permutation, SetPartition, noncrossing_closure
 from .objects import ParkingElement, enumerate_elements
 from .poset import FinitePoset
 
@@ -306,6 +306,24 @@ def build_pp_poset_hat(n: int) -> FinitePoset:
     ]
     covers.extend((base.elements[i], TOP) for i in base.maximal_indices())
     return FinitePoset(list(base.elements) + [TOP], covers)
+
+
+def pp_action_ids(n: int, perm: Permutation) -> list[int]:
+    """The permutation of the build_pp_poset(n) ids induced by perm:
+    entry i is the id of perm applied to element i.
+
+    The action permutes positions of the parking word, as
+    ParkingElement.act and enumeration.word_action do: the letter at
+    position perm(i) of the new word is the letter at position i of the
+    old one.  Each new word is looked up by word; no element is built.
+    """
+    if perm.n != n:
+        raise ValueError("permutation size mismatch")
+    words = [e.word for e in build_pp_poset(n).elements]
+    ids = {word: i for i, word in enumerate(words)}
+    inv = perm.inverse()
+    source = [inv(i) - 1 for i in range(1, n + 1)]
+    return [ids[tuple(map(word.__getitem__, source))] for word in words]
 
 
 # ----- permutahedron face poset and right combs -----

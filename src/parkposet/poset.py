@@ -148,15 +148,22 @@ class FinitePoset:
 
     def mobius_from_bottom(self) -> dict[Hashable, int]:
         """mu(bottom, x) for every x, by rank-ordered recursion."""
+        return dict(zip(self.elements, self._mobius_ids()))
+
+    def _mobius_ids(self, kept: Sequence[bool] | None = None) -> list[int]:
+        """mu(bottom, x) by id in the subposet of the kept ids (all ids
+        when kept is None); every other id holds 0, so it drops out of
+        the sums above it.  The bottom must be kept."""
         bottom_i = self.index[self.bottom()]
         down_lists = self.down_lists()
         mu = [0] * len(self.elements)
-        mu[bottom_i] = 1
         for i in self.linear_extension:
             if i == bottom_i:
-                continue
-            mu[i] = -sum(mu[j] for j in down_lists[i] if j != i)
-        return {self.elements[i]: mu[i] for i in range(len(self.elements))}
+                mu[i] = 1
+            elif kept is None or kept[i]:
+                # mu[i] is still 0, so summing over i itself adds nothing
+                mu[i] = -sum(map(mu.__getitem__, down_lists[i]))
+        return mu
 
     def mobius_hat(self) -> int:
         """mu(bottom, top) after adjoining an artificial top element."""

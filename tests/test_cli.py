@@ -8,11 +8,14 @@ import sys
 
 import pytest
 
-from parkposet import cli
+from parkposet import cli, kdivisible
 from parkposet.cli import main
+from parkposet.homology import signed_prime_character
+from parkposet.nc import class_representatives
 from parkposet.numbers import catalan
 from parkposet.objects import ParkingElement
 from parkposet.parking_order import build_pp_poset
+from parkposet.poset import FinitePoset
 
 
 def run(capsys, *argv):
@@ -250,6 +253,23 @@ class TestHomology:
         assert data["ok"] is True
         assert len(data["characters"]) == 3
 
+    def test_long_size_six_character(self):
+        # The character goes to n = 6 under --long; the Betti table stays
+        # at 5, since elimination at 6 runs for minutes.
+        argv = [sys.executable, "-m", "parkposet.cli", "homology", "--n", "6"]
+        result = subprocess.run(
+            argv + ["--long", "--character"], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        values = [3125, -625, 125, -25, 125, -25, 5, -25, 5, 5, -1]
+        assert [int(row[1]) for row in rows] == values
+        perms = class_representatives(6)
+        assert values == [signed_prime_character(6, 1, perm) for perm in perms]
+        assert all(row[3] == "yes" for row in rows)
+        for extra in (["--long"], ["--character"]):
+            assert subprocess.run(argv + extra, capture_output=True).returncode == 2
+
 
 class TestCluster:
     def test_json_summary(self, capsys):
@@ -291,6 +311,46 @@ class TestKdivisible:
         assert code == 0
         for line in out.splitlines()[1:]:
             assert line.endswith(",yes")
+
+    def test_character_formats(self, capsys):
+        argv = ("kdivisible", "--n", "3", "--k", "2", "--character")
+        csv = (
+            "cycle_type,lefschetz,closed,match\n"
+            "1+1+1,25,25,yes\n"
+            "2+1,-5,-5,yes\n"
+            "3,1,1,yes\n"
+        )
+        assert run(capsys, *argv) == (0, csv)
+        assert run(capsys, *argv, "--format", "csv") == (0, csv)
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 3,
+            "ok": True,
+            "characters": [
+                {"cycle_type": "1+1+1", "lefschetz": 25, "closed": 25, "match": "yes"},
+                {"cycle_type": "2+1", "lefschetz": -5, "closed": -5, "match": "yes"},
+                {"cycle_type": "3", "lefschetz": 1, "closed": 1, "match": "yes"},
+            ],
+        }
+        _, homology = run(
+            capsys, "homology", "--n", "3", "--character", "--format", "json"
+        )
+        assert json.loads(out).keys() == json.loads(homology).keys()
+        code = main([*argv, "--format", "dot"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--character supports --format csv or json" in captured.err
+
+    def test_summary_formats(self, capsys):
+        argv = ("kdivisible", "--n", "3", "--k", "2")
+        _, default = run(capsys, *argv)
+        assert run(capsys, *argv, "--format", "json") == (0, default)
+        assert run(capsys, *argv, "--format", "csv") == (
+            0,
+            "n,k,l,count,closed\n3,2,0,1,1\n3,2,1,18,18\n3,2,2,30,30\n",
+        )
 
     def test_budget_guard(self, capsys):
         # each request exits 2 before building, naming the limit it hit;
@@ -343,6 +403,38 @@ class TestKdivisible:
         monkeypatch.setattr(cli, "build_ppk_poset", broken)
         code, _ = run(capsys, "kdivisible", "--n", "3", "--k", "2")
         assert code == 1
+
+
+def test_character_path_moves_ids_only(capsys, monkeypatch):
+    # The character tables and the characters criterion permute ids: they
+    # act on no element and build no proper part or fixed subposet.
+    def refuse(*args):
+        raise AssertionError("rich action or subposet on the character path")
+
+    monkeypatch.setattr(ParkingElement, "act", refuse)
+    monkeypatch.setattr(kdivisible, "ppk_action", refuse)
+    monkeypatch.setattr(FinitePoset, "induced", refuse)
+    monkeypatch.setattr(FinitePoset, "without_bottom", refuse)
+    assert run(capsys, "homology", "--n", "4", "--character") == (
+        0,
+        "cycle_type,lefschetz,closed,match\n"
+        "1+1+1+1,27,27,yes\n"
+        "2+1+1,-9,-9,yes\n"
+        "2+2,3,3,yes\n"
+        "3+1,3,3,yes\n"
+        "4,-1,-1,yes\n",
+    )
+    assert run(capsys, "kdivisible", "--n", "3", "--k", "2", "--character") == (
+        0,
+        "cycle_type,lefschetz,closed,match\n"
+        "1+1+1,25,25,yes\n"
+        "2+1,-5,-5,yes\n"
+        "3,1,1,yes\n",
+    )
+    assert cli.VERIFY_CHECKS["characters"](4, 2) == (
+        True,
+        "Lefschetz and fixed-point characters, n<=4, k<=2",
+    )
 
 
 # sha256 of the DOT exports of the derived posets: their element order

@@ -15,7 +15,13 @@ from parkposet.nc import (
     kreweras,
     nc_leq,
 )
-from parkposet.numbers import catalan, chain_count, stirling2, whitney_first_kind
+from parkposet.numbers import (
+    catalan,
+    chain_count,
+    narayana,
+    stirling2,
+    whitney_first_kind,
+)
 from parkposet.objects import ParkingElement, enumerate_elements
 from parkposet.parking_order import (
     TOP,
@@ -154,9 +160,12 @@ def test_nc_covers_match_leq_oracle(n):
     assert sorted(p.cover_index_pairs()) == sorted(q.cover_index_pairs())
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_nc_lattice_and_rank(n):
     p = build_nc_poset(n)
+    assert p.whitney_second() == [narayana(n, r + 1) for r in range(n)]
+    if n > 5:
+        return  # rank sizes alone: the lattice check is quadratic
     assert p.is_lattice()
     assert p.whitney_second() == [
         sum(1 for x in p.elements if len(x) == r + 1) for r in range(n)

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from parkposet import homology
 from parkposet.enumeration import prime_parking_character
-from parkposet.forests import build_cluster_poset
+from parkposet.forests import build_cluster_poset, cluster_action
 from parkposet.homology import (
     chains_by_size,
     count_chains_by_size,
@@ -32,11 +32,11 @@ from parkposet.homology import (
     top_homology_character,
     whitney_module_character,
 )
-from parkposet.kdivisible import build_ppk_poset
-from parkposet.nc import Permutation, enumerate_noncrossing
+from parkposet.kdivisible import build_ppk_poset, ppk_action, ppk_action_ids
+from parkposet.nc import Permutation, class_representatives, enumerate_noncrossing
 from parkposet.numbers import binomial, catalan
 from parkposet.objects import enumerate_elements
-from parkposet.parking_order import build_nc_poset, build_pp_poset
+from parkposet.parking_order import build_nc_poset, build_pp_poset, pp_action_ids
 from parkposet.poset import FinitePoset
 
 
@@ -64,6 +64,15 @@ def chain_poset(length):
 
 def antichain(size):
     return FinitePoset(list(range(size)), [])
+
+
+def lefschetz_by_chains(proper, transform):
+    """The chain route to lefschetz_number, on a proper part and a map of
+    its elements: the reduced Euler characteristic of the subposet of
+    fixed elements, by counting its chains."""
+    fixed = [x for x in proper.elements if transform(x) == x]
+    sub = proper if len(fixed) == len(proper) else proper.induced(fixed)
+    return reduced_euler_characteristic(sub)
 
 
 def fraction_rank(rows):
@@ -335,17 +344,15 @@ class TestChainCountIdentity:
 
 class TestHomologyCharacter:
     def test_frozen_values_n3(self):
-        proper = build_pp_poset(3).without_bottom()
         values = {
             Permutation((1, 2, 3)): 4,
             Permutation((2, 1, 3)): -2,
             Permutation((2, 3, 1)): 1,
         }
         for perm, expected in values.items():
-            assert top_homology_character(3, perm, proper) == expected
+            assert top_homology_character(3, perm) == expected
 
     def test_frozen_values_n4(self):
-        proper = build_pp_poset(4).without_bottom()
         by_type = {
             (1, 1, 1, 1): 27,
             (2, 1, 1): -9,
@@ -355,20 +362,18 @@ class TestHomologyCharacter:
         }
         for perm in all_permutations(4):
             assert (
-                top_homology_character(4, perm, proper)
+                top_homology_character(4, perm)
                 == by_type[perm.cycle_type()]
             )
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_closed_formula_exhaustively(self, n):
-        proper = build_pp_poset(n).without_bottom()
         for perm in all_permutations(n):
-            assert top_homology_character(n, perm, proper) == signed_prime_character(
+            assert top_homology_character(n, perm) == signed_prime_character(
                 n, 1, perm
             )
 
     def test_matches_closed_formula_n5_class_representatives(self):
-        proper = build_pp_poset(5).without_bottom()
         reps = [
             Permutation((1, 2, 3, 4, 5)),
             Permutation((2, 1, 3, 4, 5)),
@@ -380,7 +385,7 @@ class TestHomologyCharacter:
         ]
         assert len({p.cycle_type() for p in reps}) == 7
         for perm in reps:
-            assert top_homology_character(5, perm, proper) == signed_prime_character(
+            assert top_homology_character(5, perm) == signed_prime_character(
                 5, 1, perm
             )
 
@@ -405,15 +410,76 @@ class TestHomologyCharacter:
 
 class TestLefschetz:
     def test_identity_gives_euler(self):
-        proper = build_pp_poset(3).without_bottom()
-        assert lefschetz_number(proper, lambda e: e) == (
-            reduced_euler_characteristic(proper)
+        poset = build_pp_poset(3)
+        assert lefschetz_number(poset, range(len(poset))) == (
+            reduced_euler_characteristic(poset.without_bottom())
         )
 
     def test_fixed_point_free_map_on_antichain(self):
-        poset = antichain(2)
-        swap = {0: 1, 1: 0}
-        assert lefschetz_number(poset, lambda i: swap[i]) == -1
+        # the antichain {1, 2} under a bottom 0, its two points swapped
+        poset = FinitePoset([0, 1, 2], [(0, 1), (0, 2)])
+        assert lefschetz_number(poset, [0, 2, 1]) == -1
+
+    def test_needs_a_unique_bottom(self):
+        with pytest.raises(ValueError):
+            lefschetz_number(antichain(2), [0, 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_chain_route_on_parking_posets(self, n):
+        poset = build_pp_poset(n)
+        for perm in class_representatives(n):
+            image = [poset.index[e.act(perm)] for e in poset.elements]
+            assert lefschetz_number(poset, image) == lefschetz_by_chains(
+                poset.without_bottom(), lambda e: e.act(perm)
+            )
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+    def test_chain_route_on_ppk_posets(self, n, k):
+        poset = build_ppk_poset(n, k)
+        for perm in class_representatives(n):
+            image = [poset.index[ppk_action(perm, c)] for c in poset.elements]
+            assert lefschetz_number(poset, image) == lefschetz_by_chains(
+                poset.without_bottom(), lambda c: ppk_action(perm, c)
+            )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_chain_route_on_cluster_posets(self, n):
+        poset = build_cluster_poset(n)
+        for perm in class_representatives(n):
+            image = [poset.index[cluster_action(perm, x)] for x in poset.elements]
+            assert lefschetz_number(poset, image) == lefschetz_by_chains(
+                poset.without_bottom(), lambda x: cluster_action(perm, x)
+            )
+
+
+class TestActionIds:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pp_ids_match_act_for_every_permutation(self, n):
+        poset = build_pp_poset(n)
+        for perm in all_permutations(n):
+            assert pp_action_ids(n, perm) == [
+                poset.index[e.act(perm)] for e in poset.elements
+            ]
+
+    def test_pp_ids_match_act_on_class_representatives_n5(self):
+        poset = build_pp_poset(5)
+        for perm in class_representatives(5):
+            assert pp_action_ids(5, perm) == [
+                poset.index[e.act(perm)] for e in poset.elements
+            ]
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_ppk_ids_match_ppk_action(self, n, k):
+        poset = build_ppk_poset(n, k)
+        perms = all_permutations(n) if n < 4 else class_representatives(n)
+        for perm in perms:
+            assert ppk_action_ids(poset, perm) == [
+                poset.index[ppk_action(perm, c)] for c in poset.elements
+            ]
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pp_action_ids(4, Permutation((2, 1, 3)))
 
 
 # ----- Whitney modules -----
@@ -443,14 +509,13 @@ class TestWhitneyModules:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_alternating_sum_gives_homology_character(self, n):
-        proper = build_pp_poset(n).without_bottom()
         for perm in all_permutations(n):
             alternating = sum(
                 (-1) ** l * whitney_module_character(n, l, perm)
                 for l in range(n)
             )
             assert (-1) ** (n - 1) * alternating == top_homology_character(
-                n, perm, proper
+                n, perm
             )
 
     def test_alternating_dimension_sum_n5(self):
