@@ -728,12 +728,13 @@ def _verify_permutahedron(nmax: int, kmax: int) -> tuple[bool, str]:
         fubini = sum(factorial(j) * stirling2(n, j) for j in range(1, n + 1))
         if not len(comb) == len(faces) == fubini:
             return False, f"n={n}: {len(comb)} vs {len(faces)} vs {fubini}"
-        image = {elem.to_composition() for elem in comb.elements}
-        if image != set(faces.elements):
+        image = [elem.to_composition() for elem in comb.elements]
+        if set(image) != set(faces.elements):
             return False, f"n={n}: composition witness not a bijection"
-        for a in comb.elements:
-            for b in comb.elements:
-                if comb.leq(a, b) != faces.leq(a.to_composition(), b.to_composition()):
+        fid = [faces.index[c] for c in image]
+        for i, a in enumerate(comb.elements):
+            for j, b in enumerate(comb.elements):
+                if comb.leq_index(i, j) != faces.leq_index(fid[i], fid[j]):
                     return False, f"n={n}: witness breaks order at {a!r},{b!r}"
     return True, f"right comb matches composition face poset, n=2..{top}"
 

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .numbers import catalan
-from .objects import enumerate_elements
 from .parking_order import build_pp_poset, pp_action_ids
 from .poset import FinitePoset
 
@@ -280,18 +279,18 @@ def whitney_module_character(
 
     The module at rank l has one summand per rank-l element, of dimension
     the interval Catalan weight of its partition; a permutation permutes
-    the summands, so its trace only sees the elements it fixes.  The
-    alternating sum over ranks, times (-1)^(n - 1), recovers the character
-    of the top reduced homology.
+    the summands, so its trace only sees the elements it fixes, read on
+    the ids of build_pp_poset(n) from pp_action_ids.  The alternating
+    sum over ranks, times (-1)^(n - 1), recovers the character of the
+    top reduced homology.
     """
-    total = 0
-    for elem in enumerate_elements(n):
-        if elem.rank != rank:
-            continue
-        if perm is not None and elem.act(perm) != elem:
-            continue
-        total += interval_catalan_weight(elem.partition)
-    return total
+    poset = build_pp_poset(n)
+    image = range(len(poset)) if perm is None else pp_action_ids(n, perm)
+    return sum(
+        interval_catalan_weight(elem.partition)
+        for i, elem in enumerate(poset.elements)
+        if elem.rank == rank and image[i] == i
+    )
 
 
 def parking_betti(n: int) -> tuple[int, ...]:

@@ -9,13 +9,19 @@ module implements that order, an exhaustive checker for the shelling
 condition, and checkers for the supporting statistics (split block,
 code jump, zero prefix) and their structural properties.
 
-Every check that uses the cover order reads one table of cover keys
-per poset (``_edge_keys``: ``transposition_label`` on the noncrossing
-side, and on the parking side ``cover_key`` in one cached table per n,
-``_parking_cover_keys``) and one earlier-swap test (``_earlier_swap``);
-both fork lemmas run one loop.  The parking checks run on the ids of
-``build_pp_poset(n)``, with one code per element (``_codes``) and joins
-read from ``build_pp_poset_hat(n)``, whose id m is the adjoined top.
+Every check runs on ids and reads one cover order per poset: the upper
+covers of each id sorted by key (``_cover_order``).  On the noncrossing
+side the key is ``transposition_label``, one per NC_n cover; on the
+parking side it is ``cover_key`` read from ids, one code per element
+(``_parking_codes``) and one label per NC_n cover, in one cached order
+per n (``_parking_cover_order``).  The first cover of x below v in that
+order (``_first_below``) decides every earlier-swap test, and both fork
+lemmas run one loop.  The maximal chains come out of one depth-first
+walk over the sorted lists already in the chain order, and the shelling
+check reads each chain as it comes: a chain passes when, between the
+positions where an earlier swap exists, it takes the first cover below
+the next such position at every step.  Joins are read from
+``build_pp_poset_hat(n)``, whose id m is the adjoined top.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -24,9 +30,9 @@ Everything here is exhaustive verification on small n; the guards of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, pairwise, permutations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .nc import (
     NoncrossingPartition,
@@ -36,7 +42,6 @@ from .nc import (
 )
 from .objects import ParkingElement
 from .parking_order import (
-    TOP,
     build_nc_poset,
     build_pp_poset,
     build_pp_poset_hat,
@@ -71,11 +76,6 @@ def transposition_label(lower: NoncrossingPartition, upper: NoncrossingPartition
 def element_code(elem: ParkingElement) -> tuple[int, ...]:
     """Code of the label permutation, most significant entry first."""
     return permutation_code(elem.sigma)
-
-
-def _codes(poset: FinitePoset) -> list[tuple[int, ...]]:
-    """One `element_code` per id of a parking poset."""
-    return [element_code(e) for e in poset.elements]
 
 
 def element_zero_prefix(elem: ParkingElement) -> int:
@@ -128,15 +128,87 @@ def cover_precedes(
     return cover_key(lower, a) < cover_key(lower, b)
 
 
+# ----- the cover order on ids -----
+
+
+def _cover_order(
+    poset: FinitePoset, key: Callable[[int, int], tuple]
+) -> list[list[int]]:
+    """For each id, its upper covers sorted by ``key(id, cover)``.
+
+    Raises ValueError if two covers of the same element receive the same
+    key, since the chain order would then not be total.
+    """
+    order = []
+    for i, ups in enumerate(poset.up):
+        keyed = sorted((key(i, j), j) for j in ups)
+        if any(a[0] == b[0] for a, b in pairwise(keyed)):
+            raise ValueError(f"tied cover keys above element {i}")
+        order.append([j for _, j in keyed])
+    return order
+
+
+def _nc_labels(nc: FinitePoset) -> dict[tuple[int, int], tuple[int, int]]:
+    """One ``transposition_label`` per cover of a noncrossing lattice, by
+    ids."""
+    elements = nc.elements
+    return {
+        (a, b): transposition_label(elements[a], elements[b])
+        for a, ups in enumerate(nc.up)
+        for b in ups
+    }
+
+
+@cache
+def _parking_codes(n: int) -> list[tuple[int, ...]]:
+    """One `element_code` per id of ``build_pp_poset(n)``."""
+    return [element_code(e) for e in build_pp_poset(n).elements]
+
+
+def _parking_key(n: int) -> Callable[[int, int], tuple]:
+    """``cover_key`` on the ids of ``build_pp_poset(n)``: the code of the
+    upper element, then the transposition label of the NC_n cover of
+    the two partitions."""
+    nc = build_nc_poset(n)
+    codes = _parking_codes(n)
+    pid = [nc.index[e.partition] for e in build_pp_poset(n).elements]
+    label = _nc_labels(nc)
+    return lambda i, j: (codes[j], label[(pid[i], pid[j])])
+
+
+@cache
+def _parking_cover_order(n: int) -> list[list[int]]:
+    """The sorted upper covers of each id of ``build_pp_poset(n)``."""
+    return _cover_order(build_pp_poset(n), _parking_key(n))
+
+
+def _hat_cover_order(n: int) -> list[list[int]]:
+    """The cover order on the ids of ``build_pp_poset_hat(n)``: that of
+    ``build_pp_poset(n)``, with the sentinel top, id m, the one cover of
+    every maximal element."""
+    order = _parking_cover_order(n)
+    top = len(order)
+    return [ups or [top] for ups in order] + [[]]
+
+
+def _first_below(poset: FinitePoset, order: list[list[int]], x: int, v: int) -> int:
+    """The first cover of x, in the cover order at x, that lies at or
+    below v; x < v is required."""
+    mask = poset.downset_mask(v)
+    return next(w for w in order[x] if mask >> w & 1)
+
+
 # ----- the chain order and the shelling condition -----
 
 
 @dataclass
 class ShellingReport:
-    """Outcome of an exhaustive shelling check."""
+    """Outcome of an exhaustive shelling check.  ``facets`` counts the
+    chains p with D(p) every interior position (see `verify_shelling`)."""
 
     n: int
-    num_chains: int
+    num_chains: int = 0
+    facets: int = 0
     violations: list = field(default_factory=list)
 
     @property
@@ -144,66 +216,74 @@ class ShellingReport:
         return not self.violations
 
 
-def _edge_keys(poset: FinitePoset, key: Callable) -> dict[tuple[int, int], tuple]:
-    """Cover order key ``key(lower, upper)`` for every cover edge not
-    ending at the sentinel top.
-
-    Raises ValueError if two covers of the same element receive the same
-    key, since the chain order would then not be total.
-    """
-    elements = poset.elements
-    keys: dict[tuple[int, int], tuple] = {}
-    for i, ups in enumerate(poset.up):
-        seen = set()
-        for j in ups:
-            if elements[j] is TOP:
-                continue
-            k = key(elements[i], elements[j])
-            if k in seen:
-                raise ValueError(f"tied cover keys above element {i}")
-            seen.add(k)
-            keys[(i, j)] = k
-    return keys
+def _chains(order: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Maximal chains from id 0 by a depth-first walk over the sorted
+    cover lists, so in the chain order."""
+    chain = [0]
+    stack = [iter(order[0])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            chain.pop()
+        elif order[nxt]:
+            chain.append(nxt)
+            stack.append(iter(order[nxt]))
+        else:
+            yield (*chain, nxt)
 
 
-@cache
-def _parking_cover_keys(n: int) -> dict[tuple[int, int], tuple]:
-    """The ``cover_key`` table of ``build_pp_poset(n)``.  It also serves
-    ``build_pp_poset_hat(n)``, whose ids below m are the same and whose
-    edges into the sentinel top carry no key."""
-    return _edge_keys(build_pp_poset(n), cover_key)
-
-
-def _earlier_swap(poset: FinitePoset, keys: dict, x: int, y: int, z: int) -> bool:
-    """Whether some cover of x other than y is covered by z and precedes
-    y in the cover order at x.
-
-    Here x < y < z is a chain of two covers, so in these graded posets a
-    cover of x lies below z exactly when z covers it.
-    """
-    key = keys[(x, y)]
-    return any(keys[(x, w)] < key and poset.leq_index(w, z) for w in poset.up[x])
-
-
-def _sorted_chains(poset: FinitePoset, keys: dict) -> list[tuple[int, ...]]:
-    """Maximal chains of the bounded poset sorted on their edge keys."""
-    index = poset.index
-    chains = [tuple(index[e] for e in chain) for chain in poset.maximal_chains()]
-    # the last edge of every chain runs into the sentinel top and has no key
-    chains.sort(key=lambda c: [keys[(c[t - 1], c[t])] for t in range(1, len(c) - 1)])
-    return chains
-
-
-def sorted_maximal_chains(poset: FinitePoset) -> list[tuple[int, ...]]:
-    """Maximal chains of the bounded poset, as index tuples, sorted by
-    the lexicographic order induced by the cover order.
+def sorted_maximal_chains(n: int) -> list[tuple[int, ...]]:
+    """Maximal chains of ``build_pp_poset_hat(n)``, as id tuples, sorted
+    by the lexicographic order induced by the cover order.
 
     Two chains are compared at the first position where they differ;
     at that position both elements cover the same element, and the
-    cover order there decides.  Cover keys are injective at each lower
-    element, so sorting on the sequence of edge keys gives that order.
+    cover order there decides.  A depth-first walk that takes the
+    covers of each element in that order gives the chains sorted.
     """
-    return _sorted_chains(poset, _edge_keys(poset, cover_key))
+    return list(_chains(_hat_cover_order(n)))
+
+
+def _check_shelling(
+    n: int, poset: FinitePoset, order: list[list[int]]
+) -> ShellingReport:
+    """The check of `verify_shelling` on a bounded poset with bottom id 0
+    whose covers are ordered by ``order``."""
+    memo: dict[int, int] = {}
+    size = len(poset)
+
+    def first(x: int, v: int) -> int:
+        w = memo.get(x * size + v)
+        if w is None:
+            w = memo[x * size + v] = _first_below(poset, order, x, v)
+        return w
+
+    report = ShellingReport(n=n)
+    for chain in _chains(order):
+        report.num_chains += 1
+        end = len(chain) - 1
+        descents = [
+            l for l in range(1, end) if first(chain[l - 1], chain[l + 1]) != chain[l]
+        ]
+        fixed = [0, *descents, end]
+        if len(fixed) == end + 1:
+            report.facets += 1
+            continue
+        # a position followed by a fixed one is first below it by not
+        # being in D(p); the others are checked against the next fixed one
+        if all(
+            first(chain[l - 1], chain[b]) == chain[l]
+            for a, b in pairwise(fixed)
+            for l in range(a + 1, b - 1)
+        ):
+            continue
+        earlier = [0]
+        for b in fixed[1:]:
+            while earlier[-1] != chain[b]:
+                earlier.append(first(earlier[-1], chain[b]))
+        report.violations.append((tuple(earlier), chain))
+    return report
 
 
 def verify_shelling(n: int) -> ShellingReport:
@@ -216,33 +296,19 @@ def verify_shelling(n: int) -> ShellingReport:
     the replacement element precedes p[l] in the cover order at
     p[l - 1]; call D(p) the set of positions where such a replacement
     exists.  The condition then reads: no earlier chain agrees with p
-    on all positions of D(p).  That reformulation is what gets checked,
-    by grouping chains on their restriction to each occurring D(p).
+    on all positions of D(p).  The first chain through p's elements at
+    D(p) and both ends takes, between two consecutive such positions,
+    the first cover below the next fixed element at every step.  So
+    each chain, as the walk of `sorted_maximal_chains` yields it, passes
+    when it takes that first cover at every position outside D(p); a
+    failing p is reported with that first chain.  No chain is stored.
+
+    The chains with D(p) every interior position are the homology
+    facets of this lexicographic shelling, counted in ``facets``: the
+    top reduced Betti number of the proper part (Bjorner and Wachs,
+    "Shellable nonpure complexes and posets").
     """
-    poset = build_pp_poset_hat(n)
-    keys = _parking_cover_keys(n)
-    chains = _sorted_chains(poset, keys)
-
-    # chains share most wedges x < y < z, so each is tested once
-    has_earlier_swap = cache(partial(_earlier_swap, poset, keys))
-    descent_sets = [
-        tuple(
-            pos
-            for pos in range(1, len(chain) - 1)
-            if has_earlier_swap(*chain[pos - 1 : pos + 2])
-        )
-        for chain in chains
-    ]
-
-    report = ShellingReport(n=n, num_chains=len(chains))
-    for positions in set(descent_sets):
-        first_seen: dict[tuple[int, ...], int] = {}
-        for rank, chain in enumerate(chains):
-            projection = tuple(chain[pos] for pos in positions)
-            earlier = first_seen.setdefault(projection, rank)
-            if descent_sets[rank] == positions and earlier < rank:
-                report.violations.append((chains[earlier], chain))
-    return report
+    return _check_shelling(n, build_pp_poset_hat(n), _hat_cover_order(n))
 
 
 # ----- the fork lemma -----
@@ -266,32 +332,26 @@ class ForkReport:
 def _verify_fork(
     n: int,
     poset: FinitePoset,
-    keys: dict[tuple[int, int], tuple],
+    order: list[list[int]],
     lattice: FinitePoset,
 ) -> ForkReport:
     """The fork check of ``verify_fork_lemma`` on a poset whose covers
-    are ordered by the key table ``keys``; joins are read from
-    ``lattice``, a bounded lattice whose ids below ``len(poset)`` are
-    those of ``poset``."""
+    are sorted by ``order``; joins are read from ``lattice``, a bounded
+    lattice whose ids below ``len(poset)`` are those of ``poset``."""
     elements = poset.elements
-    up = poset.up
     report = ForkReport(n=n)
-    for x, ups in enumerate(up):
-        for y in ups:
-            earlier = [yp for yp in ups if keys[(x, yp)] < keys[(x, y)]]
-            if not earlier:
+    for x, ups in enumerate(order):
+        for k, y in enumerate(ups):
+            if not k:
                 continue
-            for z in up[y]:
-                report.checked += len(earlier)
-                if _earlier_swap(poset, keys, x, y, z):
-                    report.replaced_middle += len(earlier)
+            for h, z in enumerate(order[y]):
+                report.checked += k
+                if _first_below(poset, order, x, z) != y:
+                    report.replaced_middle += k
                     continue
-                for yp in earlier:
+                for yp in ups[:k]:
                     top = lattice.join_index(yp, z)
-                    if any(
-                        keys[(y, zp)] < keys[(y, z)] and lattice.leq_index(zp, top)
-                        for zp in up[y]
-                    ):
+                    if any(lattice.leq_index(zp, top) for zp in order[y][:h]):
                         report.raised_top += 1
                     else:
                         report.violations.append(
@@ -315,7 +375,7 @@ def verify_fork_lemma(n: int) -> ForkReport:
     branches are exercised for n >= 4.
     """
     return _verify_fork(
-        n, build_pp_poset(n), _parking_cover_keys(n), build_pp_poset_hat(n)
+        n, build_pp_poset(n), _parking_cover_order(n), build_pp_poset_hat(n)
     )
 
 
@@ -325,7 +385,7 @@ def verify_fork_lemma(n: int) -> ForkReport:
 def check_code_monotone(n: int) -> int:
     """Codes grow weakly along the order; returns the number of pairs."""
     poset = build_pp_poset(n)
-    codes = _codes(poset)
+    codes = _parking_codes(n)
     checked = 0
     for i, code in enumerate(codes):
         for j in _bits(poset.upset_mask(i) ^ 1 << i):
@@ -343,7 +403,7 @@ def check_equal_code_join(n: int) -> int:
     poset = build_pp_poset(n)
     hat = build_pp_poset_hat(n)
     elements = poset.elements
-    codes = _codes(poset)
+    codes = _parking_codes(n)
     by_code: dict[tuple, list[int]] = {}
     for i, code in enumerate(codes):
         by_code.setdefault(code, []).append(i)
@@ -381,7 +441,7 @@ def check_zero_prefix_join(n: int) -> int:
     poset = build_pp_poset(n)
     hat = build_pp_poset_hat(n)
     elements = poset.elements
-    prefix = [zero_prefix_length(code) for code in _codes(poset)]
+    prefix = [zero_prefix_length(code) for code in _parking_codes(n)]
     checked = 0
     for i, j in combinations(range(len(elements)), 2):
         join = hat.join_index(i, j)
@@ -403,7 +463,7 @@ def check_split_diamond(n: int) -> int:
     poset = build_pp_poset(n)
     hat = build_pp_poset_hat(n)
     elements = poset.elements
-    codes = _codes(poset)
+    codes = _parking_codes(n)
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
@@ -436,7 +496,7 @@ def check_same_block_jump_bound(n: int) -> int:
     poset = build_pp_poset(n)
     hat = build_pp_poset_hat(n)
     elements = poset.elements
-    codes = _codes(poset)
+    codes = _parking_codes(n)
     checked = 0
     for x, ups in enumerate(poset.up):
         base = elements[x]
@@ -468,14 +528,13 @@ def check_minimal_jump_grows(n: int) -> int:
     weakly grows from the lower cover to the upper one.  Returns the
     number of such minimal configurations."""
     poset = build_pp_poset(n)
-    codes = _codes(poset)
-    up = poset.up
-    keys = _parking_cover_keys(n)
+    codes = _parking_codes(n)
+    order = _parking_cover_order(n)
     checked = 0
     for x, code in enumerate(codes):
-        for y in up[x]:
-            for z in up[y]:
-                if _earlier_swap(poset, keys, x, y, z):
+        for y in order[x]:
+            for z in order[y]:
+                if _first_below(poset, order, x, z) != y:
                     continue
                 checked += 1
                 if _code_jump(code, codes[y]) > _code_jump(codes[y], codes[z]):
@@ -490,7 +549,7 @@ def check_jump_code_compatible(n: int) -> int:
     forces a strictly smaller code, and distinct jumps order the codes
     the same way.  Returns the number of ordered pairs checked."""
     poset = build_pp_poset(n)
-    codes = _codes(poset)
+    codes = _parking_codes(n)
     checked = 0
     for x, ups in enumerate(poset.up):
         jumps = {s: _code_jump(codes[x], codes[s]) for s in ups}
@@ -514,7 +573,7 @@ def check_nc_el_labeling(n: int) -> int:
     poset = build_nc_poset(n)
     elements = poset.elements
     index = poset.index
-    labels = _edge_keys(poset, transposition_label)
+    labels = _nc_labels(poset)
     checked = 0
     for a in range(len(elements)):
         for b in range(len(elements)):
@@ -542,7 +601,9 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     """The fork property also holds in the noncrossing lattice, with
     covers ordered by their transposition labels."""
     poset = build_nc_poset(n)
-    return _verify_fork(n, poset, _edge_keys(poset, transposition_label), poset)
+    labels = _nc_labels(poset)
+    order = _cover_order(poset, lambda i, j: labels[(i, j)])
+    return _verify_fork(n, poset, order, poset)
 
 
 # ----- failure of the recursive atom ordering criterion -----

@@ -2,6 +2,7 @@
 condition, and the cover statistics supporting it."""
 
 import math
+import random
 from functools import cmp_to_key
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkposet import parking_order, shelling
+from parkposet.homology import parking_betti
 from parkposet.nc import NoncrossingPartition, Permutation
 from parkposet.objects import ParkingElement
 from parkposet.parking_order import (
@@ -20,8 +22,12 @@ from parkposet.parking_order import (
     upper_covers,
 )
 from parkposet.shelling import (
+    _chains,
+    _check_shelling,
     _code_jump,
-    _edge_keys,
+    _cover_order,
+    _hat_cover_order,
+    _parking_key,
     check_code_monotone,
     check_equal_code_join,
     check_jump_code_compatible,
@@ -124,7 +130,7 @@ def test_cover_order_total_on_four(idx):
 
 def test_sorted_chain_extremes():
     poset = build_pp_poset_hat(3)
-    chains = sorted_maximal_chains(poset)
+    chains = sorted_maximal_chains(3)
     assert len(chains) == 18
 
     def words(chain):
@@ -146,6 +152,19 @@ def test_shelling_verified(n, expected):
     # the noncrossing lattice
     assert expected == math.factorial(n) * n ** (n - 2)
     assert build_pp_poset_hat(n).count_maximal_chains() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_homology_facets(n):
+    # the chains with every interior position in D(p) span the top
+    # homology of the proper part
+    assert verify_shelling(n).facets == (n - 1) ** (n - 1) == parking_betti(n)[-1]
+
+
+def test_shelling_verified_six():
+    report = verify_shelling(6)
+    assert report.ok
+    assert (report.num_chains, report.facets) == (933120, 3125)
 
 
 def test_fork_lemma_both_branches():
@@ -197,39 +216,115 @@ def reference_chain_order(poset):
 @pytest.mark.parametrize("n", [3, 4])
 def test_chain_sort_matches_pairwise_comparison(n):
     poset = build_pp_poset_hat(n)
-    assert sorted_maximal_chains(poset) == reference_chain_order(poset)
+    assert sorted_maximal_chains(n) == reference_chain_order(poset)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_id_keys_equal_cover_key(n):
+    poset = build_pp_poset(n)
+    elements = poset.elements
+    key = _parking_key(n)
+    for i, ups in enumerate(poset.up):
+        for j in ups:
+            assert key(i, j) == cover_key(elements[i], elements[j])
+
+
+def shelling_by_grouping(poset, order):
+    """The shelling check by sorting and grouping, as an oracle: all
+    maximal chains sorted on the positions of their covers in ``order``,
+    D(p) from an earlier-swap test on each wedge, then one pass over the
+    sorted chains per distinct D(p), reporting each p whose projection to
+    D(p) already appeared, with the first chain that had it.  Returns the
+    sorted chains, their descent sets and the violations."""
+    position = {(i, j): t for i, ups in enumerate(order) for t, j in enumerate(ups)}
+    index = poset.index
+    chains = [tuple(index[e] for e in chain) for chain in poset.maximal_chains()]
+    chains.sort(key=lambda c: [position[edge] for edge in zip(c, c[1:])])
+
+    def earlier_swap(x, y, z):
+        return any(
+            position[(x, w)] < position[(x, y)] and poset.leq_index(w, z)
+            for w in poset.up[x]
+        )
+
+    descent_sets = [
+        tuple(
+            pos for pos in range(1, len(c) - 1) if earlier_swap(*c[pos - 1 : pos + 2])
+        )
+        for c in chains
+    ]
+    violations = []
+    for positions in set(descent_sets):
+        first_seen = {}
+        for rank, chain in enumerate(chains):
+            projection = tuple(chain[pos] for pos in positions)
+            earlier = first_seen.setdefault(projection, rank)
+            if descent_sets[rank] == positions and earlier < rank:
+                violations.append((chains[earlier], chain))
+    return chains, descent_sets, violations
+
+
+def assert_matches_grouping(n, poset, order):
+    chains, descent_sets, violations = shelling_by_grouping(poset, order)
+    report = _check_shelling(n, poset, order)
+    assert list(_chains(order)) == chains
+    assert report.num_chains == len(chains)
+    assert report.facets == descent_sets.count(tuple(range(1, n)))
+    assert len(report.violations) == len(set(report.violations))
+    assert set(report.violations) == set(violations)
+    return report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shelling_matches_grouping(n):
+    assert assert_matches_grouping(n, build_pp_poset_hat(n), _hat_cover_order(n)).ok
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 0)])
+def test_shelling_matches_grouping_on_random_orders(n, seed):
+    # any injective cover order gives a chain order; most are no shelling
+    rng = random.Random(seed)
+    order = [rng.sample(ups, len(ups)) for ups in _hat_cover_order(n)]
+    report = assert_matches_grouping(n, build_pp_poset_hat(n), order)
+    assert not report.ok
 
 
 @pytest.fixture
 def fresh_parking_keys():
-    """Clear the cached parking cover-key tables around a test that counts
-    the calls building them."""
-    shelling._parking_cover_keys.cache_clear()
+    """Clear the cached parking codes and cover orders around a test that
+    counts the calls building them."""
+    shelling._parking_codes.cache_clear()
+    shelling._parking_cover_order.cache_clear()
     yield
-    shelling._parking_cover_keys.cache_clear()
+    shelling._parking_codes.cache_clear()
+    shelling._parking_cover_order.cache_clear()
 
 
 @pytest.mark.parametrize(
-    "check,name,n,covers",
+    "check,name,n,calls",
     [
-        (verify_shelling, "cover_key", 3, 27),
-        (verify_fork_lemma, "cover_key", 3, 27),
+        (verify_shelling, "cover_key", 3, 0),
+        (verify_shelling, "transposition_label", 3, 6),
+        (verify_fork_lemma, "cover_key", 3, 0),
+        (verify_fork_lemma, "transposition_label", 3, 6),
         (verify_nc_fork_lemma, "transposition_label", 4, 28),
     ],
 )
-def test_one_key_per_cover(monkeypatch, fresh_parking_keys, check, name, n, covers):
-    # covers counts the covers of the poset the check builds, leaving out
-    # those into the sentinel top
+def test_one_key_per_cover(monkeypatch, fresh_parking_keys, check, name, n, calls):
+    # the cover order is read on ids: no cover_key call, and one
+    # transposition_label per cover of NC_n (6 at n = 3, 28 at n = 4)
     original = getattr(shelling, name)
-    calls = []
+    seen = []
 
     def counted(lower, upper):
-        calls.append((lower, upper))
+        seen.append((lower, upper))
         return original(lower, upper)
 
     monkeypatch.setattr(shelling, name, counted)
     assert check(n).ok
-    assert len(calls) == len(set(calls)) == covers
+    assert len(seen) == len(set(seen)) == calls
+    if name == "transposition_label":
+        assert calls == sum(map(len, build_nc_poset(n).up))
 
 
 # ----- the parking checks run on ids -----
@@ -271,9 +366,8 @@ def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
     monkeypatch.setattr(shelling, "permutation_code", counted)
     check(4)
     # one call per element of the poset on [4] (label permutations
-    # repeat), plus one per cover where the check reads the cover order
-    covers = sum(map(len, build_pp_poset(4).up))
-    assert len(calls) == 125 + (covers if check is check_minimal_jump_grows else 0)
+    # repeat), also where the check reads the cover order
+    assert len(calls) == 125
 
 
 @pytest.mark.parametrize("check", [check_split_diamond, check_same_block_jump_bound])
@@ -292,24 +386,31 @@ def test_one_split_block_per_cover(monkeypatch, check):
 
 
 def test_one_parking_key_table_per_n(monkeypatch, fresh_parking_keys):
-    original = shelling.cover_key
-    calls = []
+    calls = {"cover_key": [], "permutation_code": [], "transposition_label": []}
 
-    def counted(lower, upper):
-        calls.append((lower, upper))
-        return original(lower, upper)
+    def counted(original, seen):
+        def call(*args):
+            seen.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(shelling, "cover_key", counted)
+        return call
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(shelling, name, counted(getattr(shelling, name), seen))
     assert verify_shelling(4).ok
     assert verify_fork_lemma(4).ok
     assert check_minimal_jump_grows(4) == 216
-    # 364 covers in the parking poset on [4], keyed once for all three
-    assert len(calls) == len(set(calls)) == 364
+    # one cover order on [4] serves all three: one code per element, one
+    # label per cover of NC_4, and no key built from two elements
+    assert len(calls["cover_key"]) == 0
+    assert len(calls["permutation_code"]) == 125
+    assert len(calls["transposition_label"]) == 28
+    assert len(set(calls["transposition_label"])) == 28
 
 
 def test_tied_cover_keys_rejected():
     with pytest.raises(ValueError, match="tied cover keys above element 0"):
-        _edge_keys(build_nc_poset(3), lambda lower, upper: 0)
+        _cover_order(build_nc_poset(3), lambda lower, upper: 0)
 
 
 def test_nc_el_property():

@@ -518,6 +518,18 @@ class TestWhitneyModules:
                 n, perm
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fixed_ids_match_the_action_on_elements(self, n):
+        # the trace by ParkingElement.act, over every element
+        for perm in class_representatives(n):
+            for l in range(n):
+                expected = sum(
+                    interval_catalan_weight(elem.partition)
+                    for elem in enumerate_elements(n)
+                    if elem.rank == l and elem.act(perm) == elem
+                )
+                assert whitney_module_character(n, l, perm) == expected
+
     def test_alternating_dimension_sum_n5(self):
         total = 0
         for elem in enumerate_elements(5):
