@@ -87,7 +87,6 @@ from .series import (
     chain_inverse_series,
     chain_series,
     log1p_series,
-    series_chain_count,
 )
 from .shelling import (
     check_code_monotone,
@@ -247,19 +246,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     _require(all(0 <= l < n for l in lengths), f"need 0 <= l < {n}")
     with_oracle = n <= (6 if args.long else 5)
     oracle = build_pp_poset(n).multichain_rank_counts(k) if with_oracle else None
+    series = chain_series(k, n)
     rows = []
     for l in lengths:
-        closed = chain_count(n, k, l)
-        rows.append(
-            (
-                n,
-                k,
-                l,
-                closed,
-                oracle[l] if oracle is not None else "",
-                series_chain_count(n, k, l),
-            )
-        )
+        seen = oracle[l] if oracle is not None else ""
+        rows.append((n, k, l, chain_count(n, k, l), seen, series.labelled_count(n, l)))
     _emit(_csv_text(("n", "k", "l", "closed", "oracle", "series"), rows), args.output)
     return 0
 
@@ -631,7 +622,7 @@ def _verify_series(nmax: int, kmax: int) -> tuple[bool, str]:
             return False, f"k={k}: compositional inverse fails"
         for n in range(2, order + 1):
             for l in range(n):
-                if series_chain_count(n, k, l) != chain_count(n, k, l):
+                if series.labelled_count(n, l) != chain_count(n, k, l):
                     return False, f"(n,k,l)=({n},{k},{l}): coefficient mismatch"
     return True, f"species equation, inverse, coefficients to order {order}, k<={kmax}"
 

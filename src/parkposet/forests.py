@@ -171,9 +171,9 @@ def face_poset(faces: Iterable[frozenset[Edge]]) -> FinitePoset:
     """
     nonempty = sorted((f for f in faces if f), key=sorted)
     covers = [
-        (f, g)
-        for f in nonempty
-        for g in nonempty
+        (i, j)
+        for i, f in enumerate(nonempty)
+        for j, g in enumerate(nonempty)
         if len(g) == len(f) + 1 and f < g
     ]
     return FinitePoset(nonempty, covers)

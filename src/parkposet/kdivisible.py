@@ -23,7 +23,7 @@ being prime, and it is the convention forced by the counting: there are
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .nc import (
     NoncrossingPartition,
@@ -71,9 +71,35 @@ def relative_complement_chain(
     return tuple(out)
 
 
+def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> list[tuple]:
+    """Weak k-chains of poset as id tuples, listed as weak_chains lists
+    them over the elements of listing, extended along down lists."""
+    if k < 1:
+        raise ValueError("chain length must be at least 1")
+    order = [poset.index[x] for x in listing]
+    above: list[list[int]] = [[] for _ in order]  # ids at or above, in order
+    below = poset.down_lists()
+    for j in order:
+        for i in below[j]:
+            above[i].append(j)
+    chains = [(i,) for i in order]
+    for _ in range(k - 1):
+        chains = [chain + (j,) for chain in chains for j in above[chain[-1]]]
+    return chains
+
+
+def _to_elements(poset: FinitePoset, chains: list) -> list[tuple[Hashable, ...]]:
+    """Each id chain replaced by its element chain in place, so that no
+    second list of chains is alive beside the first."""
+    for t, chain in enumerate(chains):
+        chains[t] = tuple(map(poset.elements.__getitem__, chain))
+    return chains
+
+
 def nck_elements(n: int, k: int) -> list[tuple[NoncrossingPartition, ...]]:
     """Weak k-chains of noncrossing partitions; Fuss-Catalan many."""
-    return weak_chains(list(enumerate_noncrossing(n)), build_nc_poset(n).leq, k)
+    nc = build_nc_poset(n)
+    return _to_elements(nc, _weak_chain_ids(nc, enumerate_noncrossing(n), k))
 
 
 def nck_leq(
@@ -91,15 +117,15 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
     """Poset of k-divisible noncrossing partitions in the chain picture:
     the NC_n up masks pulled back along each relative complement
     coordinate, ANDed, since the chain order reverses containment."""
-    chains = nck_elements(n, k)
     nc = build_nc_poset(n)
+    chains = _weak_chain_ids(nc, enumerate_noncrossing(n), k)
     bottom = nc.index[NoncrossingPartition.bottom(n)]
     # One relative complement per distinct (previous, part) pair of ids.
     complement: dict[tuple[int, int], int] = {}
     nu = []
     for chain in chains:
         vector, previous = [], bottom
-        for part in map(nc.index.__getitem__, chain):
+        for part in chain:
             if (previous, part) not in complement:
                 complement[previous, part] = nc.index[
                     relative_kreweras(nc.elements[previous], nc.elements[part])
@@ -111,26 +137,14 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
     for t in range(k):
         above = nc.pull_back(((i, vector[t]) for i, vector in enumerate(nu)), dual=True)
         down = [d & above[vector[t]] for d, vector in zip(down, nu)]
-    return FinitePoset.from_down_masks(chains, down)
+    return FinitePoset.from_down_masks(_to_elements(nc, chains), down)
 
 
 def ppk_elements(n: int, k: int) -> list[tuple[ParkingElement, ...]]:
     """Weak k-chains of the parking function poset; (kn+1)^(n-1) many,
     listed as weak_chains lists them over enumerate_elements."""
-    if k < 1:
-        raise ValueError("chain length must be at least 1")
     pp = build_pp_poset(n)
-    order = [pp.index[e] for e in enumerate_elements(n)]
-    # The ids at or above each id, in enumerate_elements order.
-    above: list[list[int]] = [[] for _ in order]
-    below = pp.down_lists()
-    for j in order:
-        for i in below[j]:
-            above[i].append(j)
-    ids = [(i,) for i in order]
-    for _ in range(k - 1):
-        ids = [chain + (j,) for chain in ids for j in above[chain[-1]]]
-    return [tuple(pp.elements[i] for i in chain) for chain in ids]
+    return _to_elements(pp, _weak_chain_ids(pp, enumerate_elements(n), k))
 
 
 def ppk_leq(

@@ -76,9 +76,6 @@ class Tree:
             yield node
             stack.extend(reversed(node.children))
 
-    def num_nodes(self) -> int:
-        return sum(1 for _ in self.preorder())
-
     def to_json(self) -> dict:
         return {
             "label": list(self.label),

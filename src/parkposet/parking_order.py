@@ -109,10 +109,8 @@ def build_nc_poset(n: int) -> FinitePoset:
     elements = sorted(
         enumerate_noncrossing(n), key=lambda p: (len(p.blocks), p.blocks)
     )
-    covers = []
-    for p in elements:
-        for q in nc_upper_covers(p):
-            covers.append((p, q))
+    ids = {p: i for i, p in enumerate(elements)}
+    covers = [(i, ids[q]) for i, p in enumerate(elements) for q in nc_upper_covers(p)]
     return FinitePoset(elements, covers)
 
 
@@ -287,13 +285,13 @@ def build_pp_poset(n: int) -> FinitePoset:
     elements = sorted(enumerate_elements(n), key=lambda e: e.sort_key)
     nc = build_nc_poset(n)
     block_min = [_block_minima(q) for q in nc.elements]
-    by_word = {e.word: e for e in elements}
+    by_word = {e.word: i for i, e in enumerate(elements)}
     covers = []
-    for elem in elements:
+    for i, elem in enumerate(elements):
         word = elem.word
         for q in nc.down[nc.index[elem.partition]]:
             low = block_min[q]
-            covers.append((by_word[tuple(low[m - 1] for m in word)], elem))
+            covers.append((by_word[tuple(low[m - 1] for m in word)], i))
     return FinitePoset(elements, covers)
 
 
@@ -301,10 +299,8 @@ def build_pp_poset(n: int) -> FinitePoset:
 def build_pp_poset_hat(n: int) -> FinitePoset:
     """The parking poset with an artificial top adjoined."""
     base = build_pp_poset(n)
-    covers = [
-        (base.elements[i], base.elements[j]) for i, j in base.cover_index_pairs()
-    ]
-    covers.extend((base.elements[i], TOP) for i in base.maximal_indices())
+    top = len(base)
+    covers = base.cover_index_pairs() + [(i, top) for i in base.maximal_indices()]
     return FinitePoset(list(base.elements) + [TOP], covers)
 
 
@@ -370,15 +366,16 @@ def permutahedron_face_poset(n: int) -> FinitePoset:
     if n > 6:
         raise ValueError("permutahedron_face_poset is guarded to n <= 6")
     elements = sorted(ordered_set_compositions(n), key=lambda c: (len(c), c))
+    ids = {c: j for j, c in enumerate(elements)}
     covers = []
-    for comp in elements:
+    for j, comp in enumerate(elements):
         for i in range(len(comp) - 1):
             merged = (
                 comp[:i]
                 + (tuple(sorted(comp[i] + comp[i + 1])),)
                 + comp[i + 2 :]
             )
-            covers.append((merged, comp))
+            covers.append((ids[merged], j))
     return FinitePoset(elements, covers)
 
 

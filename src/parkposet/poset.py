@@ -1,6 +1,7 @@
 """A small exact kernel for finite posets given by their cover relations.
 
-Elements can be any hashable objects.  The order is stored as bitmask
+Elements can be any hashable objects; covers are pairs of their ids,
+the indices into the element list.  The order is stored as bitmask
 closures of the cover digraph, so containment tests, Mobius values,
 multichain counts and lattice checks all run on plain integers.
 """
@@ -11,26 +12,30 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
 class FinitePoset:
-    """Finite poset built from an element list and cover pairs (low, high)."""
+    """Finite poset built from an element list and cover id pairs (low, high)."""
 
     def __init__(
         self,
         elements: Sequence[Hashable],
-        covers: Iterable[tuple[Hashable, Hashable]],
+        covers: Iterable[tuple[int, int]],
     ):
+        """Covers are (low, high) id pairs; ValueError on duplicate
+        elements, an id outside range(len(elements)), a self-cover or a cycle."""
         self.elements = list(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
         m = len(self.elements)
+        ids = list(self.index.values())  # one shared int object per id
         up_sets: list[set[int]] = [set() for _ in range(m)]
         down_sets: list[set[int]] = [set() for _ in range(m)]
         for a, b in covers:
-            ia, ib = self.index[a], self.index[b]
-            if ia == ib:
+            if not (0 <= a < m and 0 <= b < m):
+                raise ValueError(f"cover ({a}, {b}) has an id outside 0..{m - 1}")
+            if a == b:
                 raise ValueError("self-cover")
-            up_sets[ia].add(ib)
-            down_sets[ib].add(ia)
+            up_sets[a].add(ids[b])
+            down_sets[b].add(ids[a])
         self.up = [sorted(s) for s in up_sets]
         self.down = [sorted(s) for s in down_sets]
         self.linear_extension = self._toposort()
@@ -167,7 +172,7 @@ class FinitePoset:
 
     def mobius_hat(self) -> int:
         """mu(bottom, top) after adjoining an artificial top element."""
-        return -sum(self.mobius_from_bottom().values())
+        return -sum(self._mobius_ids())
 
     def whitney_second(self) -> list[int]:
         counts = [0] * (self.height() + 1)
@@ -177,10 +182,9 @@ class FinitePoset:
 
     def whitney_first(self) -> list[int]:
         """Rank-wise sums of mu(bottom, x)."""
-        mu = self.mobius_from_bottom()
         out = [0] * (self.height() + 1)
-        for x, r in zip(self.elements, self.ranks()):
-            out[r] += mu[x]
+        for value, r in zip(self._mobius_ids(), self.ranks()):
+            out[r] += value
         return out
 
     # ----- chains -----
@@ -261,13 +265,8 @@ class FinitePoset:
         """Subposet on the kept indices, in increasing order, with the
         covers among them; callers keep sets on which those are exactly
         the covers of the subposet."""
-        kept = set(keep)
-        covers = [
-            (self.elements[i], self.elements[j])
-            for i in keep
-            for j in self.up[i]
-            if j in kept
-        ]
+        new, up = {i: t for t, i in enumerate(keep)}, self.up
+        covers = ((new[i], new[j]) for i in keep for j in up[i] if j in new)
         return FinitePoset([self.elements[i] for i in keep], covers)
 
     def interval(self, a: Hashable, b: Hashable) -> "FinitePoset":
@@ -278,12 +277,12 @@ class FinitePoset:
 
     def without_bottom(self) -> "FinitePoset":
         """Drop the unique minimum; remaining covers are unchanged."""
-        b = self.index[self.bottom()]
-        return self._restrict([i for i in range(len(self.elements)) if i != b])
+        self.bottom()  # ValueError unless the minimum is unique
+        return self._restrict([i for i in range(len(self)) if self.down[i]])
 
     def without_top(self) -> "FinitePoset":
-        t = self.index[self.top()]
-        return self._restrict([i for i in range(len(self.elements)) if i != t])
+        self.top()
+        return self._restrict([i for i in range(len(self)) if self.up[i]])
 
     # ----- lattice operations -----
 
@@ -348,16 +347,18 @@ class FinitePoset:
         maximal elements of the rest of its down mask: visited from the
         largest down mask to the smallest, an element is a cover unless
         it lies below a cover already found."""
-        elements = list(elements)
         size = [mask.bit_count() for mask in down]
-        covers = []
-        for i, mask in enumerate(down):
-            below = 1 << i
-            for j in sorted(_bits(mask ^ below), key=size.__getitem__, reverse=True):
-                if not below >> j & 1:
-                    covers.append((elements[j], elements[i]))
-                    below |= down[j]
-        return cls(elements, covers)
+
+        def covers() -> Iterator[tuple[int, int]]:
+            for i, mask in enumerate(down):
+                below = 1 << i
+                rest = sorted(_bits(mask ^ below), key=size.__getitem__, reverse=True)
+                for j in rest:
+                    if not below >> j & 1:
+                        yield j, i
+                        below |= down[j]
+
+        return cls(elements, covers())
 
     @classmethod
     def from_leq(

@@ -62,10 +62,13 @@ class TruncatedSeries:
     def coeff(self, i: int, j: int) -> Fraction:
         return self.coeffs.get((i, j), Fraction(0))
 
-    def x_valuation(self) -> int:
-        if not self.coeffs:
-            return self.order + 1
-        return min(i for i, _ in self.coeffs)
+    def labelled_count(self, i: int, j: int) -> int:
+        """i! times the coefficient of x^i t^j, which must be an integer:
+        the count on [i] that an exponential series in x gives."""
+        value = self.coeff(i, j) * factorial(i)
+        if value.denominator != 1:
+            raise RuntimeError("chain series coefficient is not an integer")
+        return int(value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -194,7 +197,4 @@ def chain_inverse_series(k: int, order: int) -> TruncatedSeries:
 def series_chain_count(n: int, k: int, length: int) -> int:
     """Number of weak k-chains on [n] with top rank ``length``, read off
     the generating series."""
-    value = chain_series(k, n).coeff(n, length) * factorial(n)
-    if value.denominator != 1:
-        raise RuntimeError("chain series coefficient is not an integer")
-    return int(value)
+    return chain_series(k, n).labelled_count(n, length)

@@ -41,10 +41,13 @@ from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
     class_representatives,
+    enumerate_noncrossing,
     kreweras,
+    nc_leq,
     relative_kreweras,
 )
 from parkposet.numbers import chain_count, fuss_catalan
+from parkposet.objects import enumerate_elements
 from parkposet.parking_order import build_pp_poset, descend, ideal, pp_leq
 from parkposet.poset import FinitePoset, posets_isomorphic
 
@@ -84,6 +87,13 @@ class TestWeakChains:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             weak_chains([1], lambda a, b: True, 0)
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
+    def test_id_walks_list_chains_as_the_oracle(self, n, k):
+        # The listing order fixes the poset ids, and so the CLI output.
+        nc = list(enumerate_noncrossing(n))
+        assert nck_elements(n, k) == weak_chains(nc, nc_leq, k)
+        assert ppk_elements(n, k) == weak_chains(list(enumerate_elements(n)), pp_leq, k)
 
 
 class TestRelativeComplements:
@@ -142,16 +152,15 @@ def test_builders_compare_base_poset_ids(monkeypatch):
     def refuse(*args):
         raise AssertionError("rich comparator called")
 
-    for name in ("pp_leq", "nc_leq", "ppk_leq", "nck_leq"):
+    for name in ("pp_leq", "nc_leq", "ppk_leq", "nck_leq", "weak_chains"):
         monkeypatch.setattr(kdivisible, name, refuse)
     monkeypatch.setattr(FinitePoset, "from_leq", refuse)
+    monkeypatch.setattr(FinitePoset, "leq", refuse)
     assert len(build_ppk_poset(3, 2)) == 49
     assert len(build_nck_poset(3, 2)) == fuss_catalan(3, 3)
 
 
 def test_ppk_chains_extend_from_masks(monkeypatch):
-    # Only the parking poset's comparator is watched: nck_elements still
-    # compares through build_nc_poset(n).leq.
     pp = build_pp_poset(3)
     calls = []
     original = pp.leq_index
@@ -188,7 +197,7 @@ def test_one_relative_complement_per_pair(monkeypatch, n, k):
 class TestPosetsIsomorphic:
     def test_relabeled_copy(self):
         a = FinitePoset([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)])
-        b = FinitePoset("wxyz", [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")])
+        b = FinitePoset("wxyz", [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert posets_isomorphic(a, b)
 
     def test_chain_vs_antichain(self):

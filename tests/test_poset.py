@@ -51,8 +51,7 @@ from parkposet.poset import FinitePoset
 
 
 def diamond():
-    return FinitePoset("0abc1", [("0", "a"), ("0", "b"), ("0", "c"),
-                                 ("a", "1"), ("b", "1"), ("c", "1")])
+    return FinitePoset("0abc1", [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
 def boolean(n):
@@ -88,14 +87,14 @@ def test_boolean_lattice():
 
 
 def test_bowtie_is_not_a_lattice():
-    p = FinitePoset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    p = FinitePoset("abcd", [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert not p.is_lattice()
     assert p.join("a", "b") is None
     assert p.meet("c", "d") is None
 
 
 def test_chain_multichains():
-    chain = FinitePoset("abc", [("a", "b"), ("b", "c")])
+    chain = FinitePoset("abc", [(0, 1), (1, 2)])
     assert chain.zeta_count(2) == 6
     assert chain.zeta_count(3) == 10
     assert chain.zeta_count(0) == 1
@@ -113,14 +112,31 @@ def test_from_leq_on_divisibility():
 
 
 def test_rank_validation_rejects_non_graded():
-    p = FinitePoset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    p = FinitePoset("abc", [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
         p.ranks()
 
 
 def test_cycle_rejected():
     with pytest.raises(ValueError):
-        FinitePoset("ab", [("a", "b"), ("b", "a")])
+        FinitePoset("ab", [(0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "elements,covers",
+    [
+        ("aab", [(0, 2)]),
+        ("abc", [(1, 1)]),
+        ("abc", [(0, 1), (1, 2), (2, 0)]),
+        ("abc", [(-1, 0)]),
+        ("abc", [(0, 3)]),
+    ],
+    ids=["duplicate", "self-cover", "cycle", "id-minus-one", "id-m"],
+)
+def test_kernel_input_rejected(elements, covers):
+    # (-1, 0) would index from the end of the list and build a poset
+    with pytest.raises(ValueError):
+        FinitePoset(elements, covers)
 
 
 def test_interval_and_induced():

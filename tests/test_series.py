@@ -1,5 +1,6 @@
 """Tests for the exact truncated series and the chain counting results."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -77,6 +78,18 @@ def test_series_matches_closed_formula():
             for length in range(n):
                 value = series.coeff(n, length) * factorial(n)
                 assert value == chain_count(n, k, length)
+
+
+def test_one_series_gives_every_size():
+    for k in (1, 2, 3):
+        series = chain_series(k, 6)
+        for n in range(1, 7):
+            for length in range(n):
+                assert series.labelled_count(n, length) == series_chain_count(
+                    n, k, length
+                )
+    with pytest.raises(RuntimeError):
+        TruncatedSeries(2, {(2, 0): Fraction(1, 3)}).labelled_count(2, 0)
 
 
 def test_chain_count_row_sums():

@@ -50,9 +50,9 @@ def boolean_lattice(n):
         frozenset(c) for size in range(n + 1) for c in combinations(ground, size)
     ]
     covers = [
-        (a, b)
-        for a in elements
-        for b in elements
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
         if a < b and len(b) == len(a) + 1
     ]
     return FinitePoset(elements, covers)
