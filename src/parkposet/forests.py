@@ -31,11 +31,12 @@ the parking function poset.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
+from itertools import combinations
+from typing import Collection, Iterable
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .objects import ParkingElement, enumerate_elements
-from .parking_order import build_pp_poset, pp_leq
+from .parking_order import build_nc_poset, build_pp_poset, partition_ids, pp_leq
 from .poset import FinitePoset
 
 Edge = tuple[int, int]
@@ -61,21 +62,20 @@ def _normalize(n: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def _is_forest(n: int, edges: frozenset[Edge]) -> bool:
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _component_labels(n: int, edges: Iterable[Edge]) -> list[int]:
+    """A component label for each vertex 1..n: each edge relabels the
+    component of one endpoint with the label of the other."""
+    label = list(range(n + 1))
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        old, new = label[a], label[b]
+        label = [new if x == old else x for x in label]
+    return label[1:]
+
+
+def _is_forest(n: int, edges: Collection[Edge]) -> bool:
+    """Acyclic iff every edge joins two components, which leaves
+    n - len(edges) of them."""
+    return len(set(_component_labels(n, edges))) == n - len(edges)
 
 
 def is_forest_face(n: int, edges: Iterable[Iterable[int]]) -> bool:
@@ -87,12 +87,8 @@ def is_forest_face(n: int, edges: Iterable[Iterable[int]]) -> bool:
     but the definition asks for a forest, so the check stays.)
     """
     face = _normalize(n, edges)
-    pairs = sorted(face)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if not edges_compatible(pairs[a], pairs[b]):
-                return False
-    return _is_forest(n, face)
+    pairwise = all(edges_compatible(e, f) for e, f in combinations(face, 2))
+    return pairwise and _is_forest(n, face)
 
 
 def enumerate_forest_faces(n: int) -> list[frozenset[Edge]]:
@@ -107,7 +103,7 @@ def enumerate_forest_faces(n: int) -> list[frozenset[Edge]]:
         faces.append(frozenset(face))
         for idx, e in enumerate(candidates):
             face.append(e)
-            if _is_forest(n, frozenset(face)):
+            if _is_forest(n, face):
                 extend(
                     face,
                     [f for f in candidates[idx + 1 :] if edges_compatible(e, f)],
@@ -134,20 +130,9 @@ def forest_components(n: int, edges: Iterable[Iterable[int]]) -> NoncrossingPart
     For a face of the complex the result is always noncrossing; the
     constructor validates this, so passing a crossing edge set raises.
     """
-    face = _normalize(n, edges)
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in face:
-        parent[find(a)] = find(b)
     blocks = defaultdict(list)
-    for v in range(1, n + 1):
-        blocks[find(v)].append(v)
+    for v, root in enumerate(_component_labels(n, _normalize(n, edges)), start=1):
+        blocks[root].append(v)
     return NoncrossingPartition(n, blocks.values())
 
 
@@ -182,20 +167,25 @@ def face_poset(faces: Iterable[frozenset[Edge]]) -> FinitePoset:
 # ----- cluster parking functions -----
 
 
+def _cluster_ids(n: int) -> tuple[list[frozenset[Edge]], list[tuple[int, int]]]:
+    """The faces of the complex, and the pairs of cluster_elements as
+    (face index, build_pp_poset(n) id), matched on NC_n ids."""
+    faces = enumerate_forest_faces(n)
+    nc, pp, pid = build_nc_poset(n), build_pp_poset(n), partition_ids(n)
+    by_partition = defaultdict(list)
+    for f, face in enumerate(faces):
+        by_partition[nc.index[kreweras(forest_components(n, face))]].append(f)
+    ids = map(pp.index.__getitem__, enumerate_elements(n))
+    return faces, [(f, p) for p in ids for f in by_partition[pid[p]]]
+
+
 def cluster_elements(n: int) -> list[tuple[frozenset[Edge], ParkingElement]]:
     """Pairs (face, element) whose coordinates match over the noncrossing
     partition lattice: the Kreweras complement of the face's components
     equals the element's partition."""
-    by_partition: dict[NoncrossingPartition, list[frozenset[Edge]]] = defaultdict(
-        list
-    )
-    for face in enumerate_forest_faces(n):
-        by_partition[kreweras(forest_components(n, face))].append(face)
-    pairs = []
-    for elem in enumerate_elements(n):
-        for face in by_partition.get(elem.partition, ()):
-            pairs.append((face, elem))
-    return pairs
+    faces, pairs = _cluster_ids(n)
+    elements = build_pp_poset(n).elements
+    return [(faces[f], elements[p]) for f, p in pairs]
 
 
 def cluster_leq(
@@ -209,21 +199,21 @@ def cluster_leq(
 def build_cluster_poset(n: int) -> FinitePoset:
     """The cluster parking poset: face containment, with the empty face
     below every face, ANDed with the parking order, both pulled back
-    from posets already built (face_poset and build_pp_poset)."""
-    pairs = cluster_elements(n)
+    from posets already built (face_poset and build_pp_poset).
+    enumerate_forest_faces lists the faces as face_poset sorts them, the
+    empty face first, so face f has face_poset id f - 1 and face_below
+    holds its mask at f."""
+    faces, pairs = _cluster_ids(n)
     pp = build_pp_poset(n)
-    faces = face_poset(enumerate_forest_faces(n))
-    empty = sum(1 << i for i, (face, _) in enumerate(pairs) if not face)
-    face_below = faces.pull_back(
-        (i, faces.index[face]) for i, (face, _) in enumerate(pairs) if face
+    face_below = [0] + face_poset(faces).pull_back(
+        (i, f - 1) for i, (f, _) in enumerate(pairs) if f
     )
-    elem_below = pp.pull_back((i, pp.index[elem]) for i, (_, elem) in enumerate(pairs))
-    down = [
-        (empty | (face_below[faces.index[face]] if face else 0))
-        & elem_below[pp.index[elem]]
-        for face, elem in pairs
-    ]
-    return FinitePoset.from_down_masks(pairs, down)
+    elem_below = pp.pull_back(enumerate(p for _, p in pairs))
+    empty = sum(1 << i for i, (f, _) in enumerate(pairs) if not f)
+    down = [(empty | face_below[f]) & elem_below[p] for f, p in pairs]
+    return FinitePoset.from_down_masks(
+        [(faces[f], pp.elements[p]) for f, p in pairs], down
+    )
 
 
 def cluster_action(

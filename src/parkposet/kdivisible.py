@@ -23,6 +23,7 @@ being prime, and it is the convention forced by the counting: there are
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .nc import (
@@ -33,7 +34,13 @@ from .nc import (
     relative_kreweras,
 )
 from .objects import ParkingElement, enumerate_elements
-from .parking_order import build_nc_poset, build_pp_poset, pp_action_ids, pp_leq
+from .parking_order import (
+    build_nc_poset,
+    build_pp_poset,
+    partition_ids,
+    pp_action_ids,
+    pp_leq,
+)
 from .poset import FinitePoset
 
 
@@ -71,9 +78,10 @@ def relative_complement_chain(
     return tuple(out)
 
 
-def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> list[tuple]:
+def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> tuple:
     """Weak k-chains of poset as id tuples, listed as weak_chains lists
-    them over the elements of listing, extended along down lists."""
+    them over the elements of listing: a depth-first walk over the ids at
+    or above each term, which builds each chain once from its path."""
     if k < 1:
         raise ValueError("chain length must be at least 1")
     order = [poset.index[x] for x in listing]
@@ -82,24 +90,40 @@ def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> list[tuple
     for j in order:
         for i in below[j]:
             above[i].append(j)
-    chains = [(i,) for i in order]
-    for _ in range(k - 1):
-        chains = [chain + (j,) for chain in chains for j in above[chain[-1]]]
-    return chains
+    chains, chain, stack = [], [], [iter(order)]
+    while stack:
+        for j in stack[-1]:
+            if len(stack) == k:
+                chains.append((*chain, j))
+            else:
+                chain.append(j)
+                stack.append(iter(above[j]))
+                break
+        else:  # the ids above the last term ran out (none at the root)
+            stack.pop()
+            del chain[-1:]
+    return tuple(chains)
 
 
-def _to_elements(poset: FinitePoset, chains: list) -> list[tuple[Hashable, ...]]:
-    """Each id chain replaced by its element chain in place, so that no
-    second list of chains is alive beside the first."""
-    for t, chain in enumerate(chains):
-        chains[t] = tuple(map(poset.elements.__getitem__, chain))
-    return chains
+@cache
+def _nc_chain_ids(n: int, k: int) -> tuple:
+    """Weak k-chains of build_nc_poset(n) ids, over enumerate_noncrossing."""
+    return _weak_chain_ids(build_nc_poset(n), enumerate_noncrossing(n), k)
+
+
+@cache
+def _parking_chain_ids(n: int, k: int) -> tuple:
+    """Weak k-chains of build_pp_poset(n) ids, over enumerate_elements."""
+    return _weak_chain_ids(build_pp_poset(n), enumerate_elements(n), k)
+
+
+def _to_elements(poset: FinitePoset, chains: Iterable) -> list[tuple[Hashable, ...]]:
+    return [tuple(map(poset.elements.__getitem__, chain)) for chain in chains]
 
 
 def nck_elements(n: int, k: int) -> list[tuple[NoncrossingPartition, ...]]:
     """Weak k-chains of noncrossing partitions; Fuss-Catalan many."""
-    nc = build_nc_poset(n)
-    return _to_elements(nc, _weak_chain_ids(nc, enumerate_noncrossing(n), k))
+    return _to_elements(build_nc_poset(n), _nc_chain_ids(n, k))
 
 
 def nck_leq(
@@ -118,7 +142,7 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
     the NC_n up masks pulled back along each relative complement
     coordinate, ANDed, since the chain order reverses containment."""
     nc = build_nc_poset(n)
-    chains = _weak_chain_ids(nc, enumerate_noncrossing(n), k)
+    chains = _nc_chain_ids(n, k)
     bottom = nc.index[NoncrossingPartition.bottom(n)]
     # One relative complement per distinct (previous, part) pair of ids.
     complement: dict[tuple[int, int], int] = {}
@@ -143,8 +167,7 @@ def build_nck_poset(n: int, k: int) -> FinitePoset:
 def ppk_elements(n: int, k: int) -> list[tuple[ParkingElement, ...]]:
     """Weak k-chains of the parking function poset; (kn+1)^(n-1) many,
     listed as weak_chains lists them over enumerate_elements."""
-    pp = build_pp_poset(n)
-    return _to_elements(pp, _weak_chain_ids(pp, enumerate_elements(n), k))
+    return _to_elements(build_pp_poset(n), _parking_chain_ids(n, k))
 
 
 def ppk_leq(
@@ -160,18 +183,19 @@ def ppk_leq(
 
 def build_ppk_poset(n: int, k: int) -> FinitePoset:
     """Poset of k-divisible noncrossing 2-partitions in the chain picture:
-    the build_pp_poset order pulled back along last elements, ANDed with
-    the build_nck_poset order pulled back along underlying noncrossing
-    chains."""
-    chains = ppk_elements(n, k)
+    the build_pp_poset order pulled back along last ids, ANDed with the
+    build_nck_poset order pulled back along the chains of partition ids."""
     pp, nck = build_pp_poset(n), build_nck_poset(n, k)
-    tops = [pp.index[c[-1]] for c in chains]
-    ncs = [nck.index[tuple(x.partition for x in c)] for c in chains]
+    chains = _parking_chain_ids(n, k)
+    pid = partition_ids(n)
+    nck_id = {c: i for i, c in enumerate(_nc_chain_ids(n, k))}
+    tops = [c[-1] for c in chains]
+    ncs = [nck_id[tuple(map(pid.__getitem__, c))] for c in chains]
     tops_below = pp.pull_back(enumerate(tops))
     ncs_below = nck.pull_back(enumerate(ncs))
-    return FinitePoset.from_down_masks(
-        chains, [tops_below[t] & ncs_below[c] for t, c in zip(tops, ncs)]
-    )
+    down = [tops_below[t] & ncs_below[c] for t, c in zip(tops, ncs)]
+    del nck, tops_below, ncs_below  # free the pulled-back masks before the covers
+    return FinitePoset.from_down_masks(_to_elements(pp, chains), down)
 
 
 def ppk_action(
@@ -185,20 +209,14 @@ def ppk_action(
     return tuple(x.act(perm) for x in chain)
 
 
-def ppk_action_ids(poset: FinitePoset, perm: Permutation) -> list[int]:
-    """ppk_action on the ids of a poset of parking chains on [perm.n],
-    such as build_ppk_poset(perm.n, k): entry i is the id of perm applied
-    to chain i.
-
-    The chain's terms move by pp_action_ids and the moved chain is found
-    through poset.index; no element is built.
-    """
-    pp = build_pp_poset(perm.n)
-    moved = [pp.elements[i] for i in pp_action_ids(perm.n, perm)]
-    return [
-        poset.index[tuple(moved[pp.index[x]] for x in chain)]
-        for chain in poset.elements
-    ]
+def ppk_action_ids(n: int, k: int, perm: Permutation) -> list[int]:
+    """The permutation of the build_ppk_poset(n, k) ids induced by
+    ppk_action: each id chain moves termwise by pp_action_ids and is
+    looked up by ids, so no element is built or hashed."""
+    move = pp_action_ids(n, perm)
+    chains = _parking_chain_ids(n, k)
+    ids = {chain: i for i, chain in enumerate(chains)}
+    return [ids[tuple(map(move.__getitem__, chain))] for chain in chains]
 
 
 def is_prime_chain(chain: Sequence[ParkingElement]) -> bool:

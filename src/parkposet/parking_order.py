@@ -296,6 +296,13 @@ def build_pp_poset(n: int) -> FinitePoset:
 
 
 @lru_cache(maxsize=None)
+def partition_ids(n: int) -> tuple[int, ...]:
+    """The build_nc_poset(n) id of each build_pp_poset(n) element's partition."""
+    nc = build_nc_poset(n)
+    return tuple(nc.index[e.partition] for e in build_pp_poset(n).elements)
+
+
+@lru_cache(maxsize=None)
 def build_pp_poset_hat(n: int) -> FinitePoset:
     """The parking poset with an artificial top adjoined."""
     base = build_pp_poset(n)

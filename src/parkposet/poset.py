@@ -8,6 +8,7 @@ multichain counts and lattice checks all run on plain integers.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
@@ -39,8 +40,6 @@ class FinitePoset:
         self.up = [sorted(s) for s in up_sets]
         self.down = [sorted(s) for s in down_sets]
         self.linear_extension = self._toposort()
-        self._downmasks: list[int] | None = None
-        self._upmasks: list[int] | None = None
         self._downlists: list[list[int]] | None = None
         self._ranks: list[int] | None = None
 
@@ -65,44 +64,32 @@ class FinitePoset:
 
     # ----- order relation -----
 
-    def _ensure_masks(self) -> None:
-        if self._downmasks is not None:
-            return
-        m = len(self.elements)
-        down = [0] * m
-        for i in self.linear_extension:
-            mask = 1 << i
-            for j in self.down[i]:
-                mask |= down[j]
-            down[i] = mask
-        upm = [0] * m
-        for i in reversed(self.linear_extension):
-            mask = 1 << i
-            for j in self.up[i]:
-                mask |= upm[j]
-            upm[i] = mask
-        self._downmasks = down
-        self._upmasks = upm
+    # The order pulled back along the identity, each direction computed on
+    # first use, so a Mobius recursion, which reads only the down masks,
+    # never builds the up masks.
+    @cached_property
+    def _downmasks(self) -> list[int]:
+        return self.pull_back(enumerate(range(len(self))))
+
+    @cached_property
+    def _upmasks(self) -> list[int]:
+        return self.pull_back(enumerate(range(len(self))), dual=True)
 
     def leq_index(self, i: int, j: int) -> bool:
-        self._ensure_masks()
         return bool(self._downmasks[j] >> i & 1)
 
     def leq(self, x: Hashable, y: Hashable) -> bool:
         return self.leq_index(self.index[x], self.index[y])
 
     def downset_mask(self, i: int) -> int:
-        self._ensure_masks()
         return self._downmasks[i]
 
     def upset_mask(self, i: int) -> int:
-        self._ensure_masks()
         return self._upmasks[i]
 
     def down_lists(self) -> list[list[int]]:
         """For each index, the indices at or below it, increasing."""
         if self._downlists is None:
-            self._ensure_masks()
             self._downlists = [_bits(mask) for mask in self._downmasks]
         return self._downlists
 
@@ -271,7 +258,6 @@ class FinitePoset:
 
     def interval(self, a: Hashable, b: Hashable) -> "FinitePoset":
         """Closed interval [a, b]; its covers are the restricted covers."""
-        self._ensure_masks()
         mask = self._upmasks[self.index[a]] & self._downmasks[self.index[b]]
         return self._restrict(_bits(mask))
 
@@ -289,12 +275,10 @@ class FinitePoset:
     def join_index(self, i: int, j: int) -> int | None:
         """Index of the least upper bound, or None when it does not exist:
         the common upper bound whose up-set is all the common upper bounds."""
-        self._ensure_masks()
         up = self._upmasks
         return _first_with_mask(up[i] & up[j], up)
 
     def meet_index(self, i: int, j: int) -> int | None:
-        self._ensure_masks()
         down = self._downmasks
         return _first_with_mask(down[i] & down[j], down)
 
@@ -411,8 +395,6 @@ def posets_isomorphic(first: FinitePoset, second: FinitePoset) -> bool:
     if sorted(colors_a) != sorted(colors_b):
         return False
     m = len(first.elements)
-    first._ensure_masks()
-    second._ensure_masks()
     candidates: dict[int, list[int]] = {}
     for j in range(m):
         candidates.setdefault(colors_b[j], []).append(j)

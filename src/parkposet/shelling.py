@@ -47,6 +47,7 @@ from .parking_order import (
     build_pp_poset_hat,
     element_from_block_labels,
     lower_covers,
+    partition_ids,
     upper_covers,
 )
 from .poset import FinitePoset, _bits
@@ -169,10 +170,9 @@ def _parking_key(n: int) -> Callable[[int, int], tuple]:
     """``cover_key`` on the ids of ``build_pp_poset(n)``: the code of the
     upper element, then the transposition label of the NC_n cover of
     the two partitions."""
-    nc = build_nc_poset(n)
     codes = _parking_codes(n)
-    pid = [nc.index[e.partition] for e in build_pp_poset(n).elements]
-    label = _nc_labels(nc)
+    pid = partition_ids(n)
+    label = _nc_labels(build_nc_poset(n))
     return lambda i, j: (codes[j], label[(pid[i], pid[j])])
 
 

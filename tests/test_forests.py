@@ -149,6 +149,13 @@ class TestTopology:
         betti = reduced_betti(face_poset(enumerate_forest_faces(n)))
         assert set(betti) == {0}
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_faces_are_listed_in_face_poset_order(self, n):
+        # build_cluster_poset reads face f of the listing as face_poset id f - 1.
+        faces = enumerate_forest_faces(n)
+        assert faces[0] == frozenset()
+        assert face_poset(faces).elements == faces[1:]
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_boundary_is_a_sphere(self, n):
         betti = reduced_betti(face_poset(boundary_faces(n)))

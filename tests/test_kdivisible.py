@@ -48,7 +48,13 @@ from parkposet.nc import (
 )
 from parkposet.numbers import chain_count, fuss_catalan
 from parkposet.objects import enumerate_elements
-from parkposet.parking_order import build_pp_poset, descend, ideal, pp_leq
+from parkposet.parking_order import (
+    build_nc_poset,
+    build_pp_poset,
+    descend,
+    ideal,
+    pp_leq,
+)
 from parkposet.poset import FinitePoset, posets_isomorphic
 
 
@@ -88,12 +94,29 @@ class TestWeakChains:
         with pytest.raises(ValueError):
             weak_chains([1], lambda a, b: True, 0)
 
-    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3), (2, 60)])
     def test_id_walks_list_chains_as_the_oracle(self, n, k):
         # The listing order fixes the poset ids, and so the CLI output.
         nc = list(enumerate_noncrossing(n))
         assert nck_elements(n, k) == weak_chains(nc, nc_leq, k)
         assert ppk_elements(n, k) == weak_chains(list(enumerate_elements(n)), pp_leq, k)
+
+    def test_walk_reaches_the_longest_chains(self):
+        # k = 499 at n = 2 is the longest chain the kdivisible budget admits.
+        assert len(ppk_elements(2, 499)) == 999
+
+    def test_element_chains_leave_the_id_listings_as_ids(self):
+        listings = (
+            (kdivisible._parking_chain_ids, ppk_elements, build_pp_poset(3)),
+            (kdivisible._nc_chain_ids, nck_elements, build_nc_poset(3)),
+        )
+        for listing, elements, base in listings:
+            before = list(listing(3, 2))
+            chains = elements(3, 2)
+            assert list(listing(3, 2)) == before
+            assert all(type(i) is int for chain in listing(3, 2) for i in chain)
+            assert chains == [tuple(base.elements[i] for i in c) for c in before]
+            assert elements(3, 2) == chains
 
 
 class TestRelativeComplements:

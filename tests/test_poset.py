@@ -35,6 +35,7 @@ from parkposet.parking_order import (
     nc_coarsenings,
     nc_lower_covers,
     nc_upper_covers,
+    partition_ids,
     permutahedron_face_poset,
     pp_join,
     pp_join_many,
@@ -265,6 +266,15 @@ def test_lifted_covers_match_split_covers(n):
         for b in upper_covers(a)
     ]
     assert sorted(poset.cover_index_pairs()) == sorted(split)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partition_ids_name_each_partition(n):
+    nc = build_nc_poset(n)
+    ids = partition_ids(n)
+    assert [nc.elements[p] for p in ids] == [
+        e.partition for e in build_pp_poset(n).elements
+    ]
 
 
 def test_builder_lifts_nc_covers(monkeypatch):

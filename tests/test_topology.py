@@ -33,9 +33,14 @@ from parkposet.homology import (
     whitney_module_character,
 )
 from parkposet.kdivisible import build_ppk_poset, ppk_action, ppk_action_ids
-from parkposet.nc import Permutation, class_representatives, enumerate_noncrossing
+from parkposet.nc import (
+    NoncrossingPartition,
+    Permutation,
+    class_representatives,
+    enumerate_noncrossing,
+)
 from parkposet.numbers import binomial, catalan
-from parkposet.objects import enumerate_elements
+from parkposet.objects import ParkingElement, enumerate_elements
 from parkposet.parking_order import build_nc_poset, build_pp_poset, pp_action_ids
 from parkposet.poset import FinitePoset
 
@@ -473,9 +478,24 @@ class TestActionIds:
         poset = build_ppk_poset(n, k)
         perms = all_permutations(n) if n < 4 else class_representatives(n)
         for perm in perms:
-            assert ppk_action_ids(poset, perm) == [
+            assert ppk_action_ids(n, k, perm) == [
                 poset.index[ppk_action(perm, c)] for c in poset.elements
             ]
+
+    def test_ppk_ids_hash_no_element(self, monkeypatch):
+        poset = build_ppk_poset(3, 2)
+        perms = all_permutations(3)
+        expected = [
+            [poset.index[ppk_action(perm, c)] for c in poset.elements]
+            for perm in perms
+        ]
+
+        def refuse(self):
+            raise AssertionError("rich element hashed on the ppk action path")
+
+        monkeypatch.setattr(ParkingElement, "__hash__", refuse)
+        monkeypatch.setattr(NoncrossingPartition, "__hash__", refuse)
+        assert [ppk_action_ids(3, 2, perm) for perm in perms] == expected
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
