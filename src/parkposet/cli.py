@@ -408,7 +408,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 "n": n,
                 "face_counts": counts,
                 "total_faces": sum(counts),
-                "facets": len(spanning_facets(n)),
+                "facets": counts[n - 1],
                 "poset_size": len(poset),
                 "rank_sizes": poset.whitney_second(),
             }

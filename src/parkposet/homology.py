@@ -2,12 +2,17 @@
 
 The order complex of a finite poset is the simplicial complex whose faces
 are the strict chains.  This module computes its reduced rational Betti
-numbers with exact arithmetic: boundary ranks come from fraction-free
-sparse elimination over Python integers, with clearing between degrees.
-Fraction-free elimination is exact because each step replaces a row by an
-integer combination a*row - b*pivot with a nonzero, which keeps the row
-space over Q.  Clearing is exact because each row it leaves out lies in
-the span of the rows that stay, so no rank changes.
+numbers with exact arithmetic: each boundary rank is the rank of the
+coboundary, its transpose, from fraction-free sparse elimination over
+Python integers, taken from the smallest chain size up with clearing
+between degrees.  Fraction-free elimination is exact because each step
+replaces a row by an integer combination a*row - b*pivot with a nonzero,
+which keeps the row space over Q.  Clearing is exact because each row it
+leaves out lies in the span of the rows that stay, so no rank changes.
+Working upward, the rows of a coboundary that reduce to zero number
+exactly the Betti number of its smaller chains, so for a homology
+concentrated in the top degree every row of the largest matrix, the top
+coboundary, is a pivot.
 
 On top of the generic machinery sit the facts specific to the parking
 function poset.  Its proper part has reduced homology concentrated in the
@@ -144,25 +149,34 @@ def sparse_rank(
     return rank
 
 
-def _boundary_rows(
+def _coboundary_rows(
     small: list[tuple[int, ...]],
     big: list[tuple[int, ...]],
-    cleared: dict[int, dict[int, int]],
+    cleared: set[int],
 ) -> list[dict[int, int]]:
-    """Rows of the simplicial boundary map from chains of size s to chains
-    of size s - 1, one alternating-sign row per larger chain, leaving out
-    the chains that are keys of `cleared`."""
+    """Rows of the coboundary map from chains of size s - 1 to chains of
+    size s, the transpose of the boundary: one row per smaller chain whose
+    index is not in `cleared`, from the last chain of `small` to the
+    first, holding {index of a larger chain containing it: sign}.  The
+    sign is that of the smaller chain in the boundary of the larger,
+    (-1)^i when the larger chain's element i is the one left out.
+
+    The order makes most rows pivot at once when the ids are a linear
+    extension.  A chain whose first element lies above some element has
+    as its smallest column the chain with the smallest such element put
+    in front, and every other face of that column sorts before the
+    chain, so no earlier row holds the column.  Only chains that start
+    at a minimal element are reduced."""
     position = {ch: i for i, ch in enumerate(small)}
-    rows = []
+    rows: list[dict[int, int] | None] = [
+        None if i in cleared else {} for i in range(len(small))
+    ]
     for index, ch in enumerate(big):
-        if index in cleared:
-            continue
-        row: dict[int, int] = {}
         for i in range(len(ch)):
-            face = ch[:i] + ch[i + 1 :]
-            row[position[face]] = 1 if i % 2 == 0 else -1
-        rows.append(row)
-    return rows
+            row = rows[position[ch[:i] + ch[i + 1 :]]]
+            if row is not None:
+                row[index] = 1 if i % 2 == 0 else -1
+    return [row for row in reversed(rows) if row is not None]
 
 
 def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
@@ -174,22 +188,32 @@ def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
     augmented chain complex is used throughout: the empty chain spans the
     (-1)-dimensional chain group.
 
-    Boundary ranks are computed from the largest chain size down, with
-    clearing (Chen and Kerber, "Persistent homology computation with a
-    twist", 2011): an s-chain that is the pivot column of a row of the
-    boundary from (s+1)-chains is left out of the boundary from s-chains.
-    That pivot row is a cycle whose smallest column is the chain, so the
-    chain's own boundary row lies in the span of the rows of later
-    chains, and leaving it out keeps the rank.
+    Each boundary rank is computed as the rank of its transpose, the
+    coboundary, from the smallest chain size up, with clearing in the
+    cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
+    "Dualities in persistent (co)homology", 2011; Bauer, "Ripser", 2021):
+    an s-chain that is the pivot column of a row of the coboundary from
+    (s-1)-chains is left out of the rows of the coboundary from s-chains.
+    That pivot row is a cocycle r = delta(c) whose smallest column is the
+    chain, and delta(r) = 0, so the chain's own coboundary row lies in
+    the span of the rows of later chains.  By descending induction every
+    row left out lies in the span of the rows kept, so no rank changes.
+    The coboundary from (s-1)-chains keeps as many rows as the boundary
+    of (s-1)-chains has nullity, so exactly Betti-many of its rows reduce
+    to zero: when the homology is concentrated in the top degree, every
+    row of the top coboundary, the largest matrix, is a pivot.
     """
     layers = chains_by_size(poset)
     ranks = [0] * (len(layers) + 1)
-    cleared: dict[int, dict[int, int]] = {}
-    for s in range(len(layers) - 1, 0, -1):
+    cleared: set[int] = set()
+    for s in range(1, len(layers)):
         pivots: dict[int, dict[int, int]] = {}
-        rows = _boundary_rows(layers[s - 1], layers[s], cleared)
-        ranks[s] = sparse_rank(rows, pivots)
-        cleared = pivots
+        # Only the pivot columns outlive the call; no rows of this degree
+        # are held while the next, larger one is built.
+        ranks[s] = sparse_rank(
+            _coboundary_rows(layers[s - 1], layers[s], cleared), pivots
+        )
+        cleared = set(pivots)
     betti = []
     for s, layer in enumerate(layers):
         betti.append(len(layer) - ranks[s] - ranks[s + 1])

@@ -37,6 +37,7 @@ from .objects import ParkingElement, enumerate_elements
 from .parking_order import (
     build_nc_poset,
     build_pp_poset,
+    enumeration_ids,
     partition_ids,
     pp_action_ids,
     pp_leq,
@@ -78,13 +79,13 @@ def relative_complement_chain(
     return tuple(out)
 
 
-def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> tuple:
+def _weak_chain_ids(poset: FinitePoset, order: Sequence[int], k: int) -> tuple:
     """Weak k-chains of poset as id tuples, listed as weak_chains lists
-    them over the elements of listing: a depth-first walk over the ids at
-    or above each term, which builds each chain once from its path."""
+    them over the elements with the ids of order, in that order: a
+    depth-first walk over the ids at or above each term, which builds
+    each chain once from its path."""
     if k < 1:
         raise ValueError("chain length must be at least 1")
-    order = [poset.index[x] for x in listing]
     above: list[list[int]] = [[] for _ in order]  # ids at or above, in order
     below = poset.down_lists()
     for j in order:
@@ -108,13 +109,14 @@ def _weak_chain_ids(poset: FinitePoset, listing: Iterable, k: int) -> tuple:
 @cache
 def _nc_chain_ids(n: int, k: int) -> tuple:
     """Weak k-chains of build_nc_poset(n) ids, over enumerate_noncrossing."""
-    return _weak_chain_ids(build_nc_poset(n), enumerate_noncrossing(n), k)
+    nc = build_nc_poset(n)
+    return _weak_chain_ids(nc, [nc.index[p] for p in enumerate_noncrossing(n)], k)
 
 
 @cache
 def _parking_chain_ids(n: int, k: int) -> tuple:
-    """Weak k-chains of build_pp_poset(n) ids, over enumerate_elements."""
-    return _weak_chain_ids(build_pp_poset(n), enumerate_elements(n), k)
+    """Weak k-chains of build_pp_poset(n) ids, in enumerate_elements order."""
+    return _weak_chain_ids(build_pp_poset(n), enumeration_ids(n), k)
 
 
 def _to_elements(poset: FinitePoset, chains: Iterable) -> list[tuple[Hashable, ...]]:

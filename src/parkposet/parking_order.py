@@ -277,12 +277,25 @@ MAX_POSET_N = 6
 
 
 @lru_cache(maxsize=None)
+def _parking_listing(n: int) -> tuple[tuple[ParkingElement, ...], tuple[int, ...]]:
+    """The elements of enumerate_elements(n) sorted by (rank, word), and
+    the position in that order of each element as enumerated: one
+    enumeration serves build_pp_poset and enumeration_ids."""
+    if n > MAX_POSET_N:
+        raise ValueError(f"build_pp_poset is guarded to n <= {MAX_POSET_N}")
+    listing = list(enumerate_elements(n))
+    order = sorted(range(len(listing)), key=lambda i: listing[i].sort_key)
+    ids = [0] * len(order)
+    for j, i in enumerate(order):
+        ids[i] = j
+    return tuple(map(listing.__getitem__, order)), tuple(ids)
+
+
+@lru_cache(maxsize=None)
 def build_pp_poset(n: int) -> FinitePoset:
     """The parking poset on [n], elements sorted by (rank, word), with the
     NC_n lower covers of each partition lifted by descent on the word."""
-    if n > MAX_POSET_N:
-        raise ValueError(f"build_pp_poset is guarded to n <= {MAX_POSET_N}")
-    elements = sorted(enumerate_elements(n), key=lambda e: e.sort_key)
+    elements = _parking_listing(n)[0]
     nc = build_nc_poset(n)
     block_min = [_block_minima(q) for q in nc.elements]
     by_word = {e.word: i for i, e in enumerate(elements)}
@@ -293,6 +306,12 @@ def build_pp_poset(n: int) -> FinitePoset:
             low = block_min[q]
             covers.append((by_word[tuple(low[m - 1] for m in word)], i))
     return FinitePoset(elements, covers)
+
+
+def enumeration_ids(n: int) -> tuple[int, ...]:
+    """The build_pp_poset(n) id of each element, in enumerate_elements(n)
+    order."""
+    return _parking_listing(n)[1]
 
 
 @lru_cache(maxsize=None)

@@ -102,10 +102,13 @@ class FinitePoset:
         return [i for i in range(len(self.elements)) if not self.up[i]]
 
     def bottom(self) -> Hashable:
+        return self.elements[self._bottom_index()]
+
+    def _bottom_index(self) -> int:
         mins = self.minimal_indices()
         if len(mins) != 1:
             raise ValueError(f"poset has {len(mins)} minimal elements")
-        return self.elements[mins[0]]
+        return mins[0]
 
     def top(self) -> Hashable:
         maxs = self.maximal_indices()
@@ -146,7 +149,7 @@ class FinitePoset:
         """mu(bottom, x) by id in the subposet of the kept ids (all ids
         when kept is None); every other id holds 0, so it drops out of
         the sums above it.  The bottom must be kept."""
-        bottom_i = self.index[self.bottom()]
+        bottom_i = self._bottom_index()
         down_lists = self.down_lists()
         mu = [0] * len(self.elements)
         for i in self.linear_extension:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from parkposet import cli, kdivisible
+from parkposet import cli, forests, kdivisible
 from parkposet.cli import main
 from parkposet.homology import signed_prime_character
 from parkposet.nc import class_representatives
@@ -280,6 +280,12 @@ class TestCluster:
         assert data["facets"] == 2
         assert data["poset_size"] == 22
         assert data["rank_sizes"] == [1, 9, 12]
+
+    def test_json_summary_lists_the_faces_once(self, capsys):
+        forests._face_listing.cache_clear()
+        code, _ = run(capsys, "cluster", "--n", "4")
+        assert code == 0
+        assert forests._face_listing.cache_info().misses == 1
 
     def test_csv_face_counts(self, capsys):
         code, out = run(capsys, "cluster", "--n", "5", "--format", "csv")

@@ -35,6 +35,7 @@ from parkposet.parking_order import (
     nc_coarsenings,
     nc_lower_covers,
     nc_upper_covers,
+    enumeration_ids,
     partition_ids,
     permutahedron_face_poset,
     pp_join,
@@ -277,6 +278,12 @@ def test_partition_ids_name_each_partition(n):
     ]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumeration_ids_follow_the_enumeration(n):
+    pp = build_pp_poset(n)
+    assert list(enumeration_ids(n)) == [pp.index[e] for e in enumerate_elements(n)]
+
+
 def test_builder_lifts_nc_covers(monkeypatch):
     def refuse(*args):
         raise AssertionError("rich cover built")
@@ -335,6 +342,22 @@ def test_whitney_first_closed_form(n):
     expected = [whitney_first_kind(n, l) for l in range(n)]
     assert poset.whitney_first() == expected
     assert sum(expected) == -poset.mobius_hat() if n >= 2 else True
+
+
+def test_mobius_hashes_no_element(monkeypatch):
+    poset = build_pp_poset(4)
+
+    def refuse(self):
+        raise AssertionError("rich element hashed on the Mobius path")
+
+    monkeypatch.setattr(ParkingElement, "__hash__", refuse)
+    assert poset.whitney_first() == [whitney_first_kind(4, l) for l in range(4)]
+    assert poset.mobius_hat() == 27
+
+
+def test_mobius_needs_one_minimal_element():
+    with pytest.raises(ValueError, match="2 minimal elements"):
+        FinitePoset("ab", []).mobius_hat()
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 18), (4, 384)])

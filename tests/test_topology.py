@@ -11,6 +11,7 @@ import copy
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -120,6 +121,16 @@ def boundary_matrices(poset):
     return matrices
 
 
+def transpose(rows, width):
+    """The transpose of a sparse matrix with `width` columns, one row per
+    column, empty rows included."""
+    out = [{} for _ in range(width)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][r] = v
+    return out
+
+
 def random_sparse_matrix(rng, fractions):
     """A sparse matrix with zero rows and rows that are combinations of
     earlier rows, entries int or Fraction."""
@@ -156,7 +167,17 @@ PROPER_PARTS = {
     "cluster(3)": lambda: build_cluster_poset(3).without_bottom(),
     "cluster(4)": lambda: build_cluster_poset(4).without_bottom(),
     "ppk(3,2)": lambda: build_ppk_poset(3, 2).without_bottom(),
+    "ppk(4,2)": lambda: build_ppk_poset(4, 2).without_bottom(),
 }
+
+
+
+@cache
+def fraction_ranks(name):
+    """fraction_rank of each unreduced boundary matrix of a PROPER_PARTS
+    entry, shared by the tests that compare against it."""
+    matrices = boundary_matrices(PROPER_PARTS[name]())
+    return tuple(fraction_rank(rows) for rows in matrices)
 
 
 # ----- generic machinery -----
@@ -243,8 +264,8 @@ class TestSparseRank:
 
     @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
     def test_boundary_matrices_match_fraction_rank(self, name):
-        for rows in boundary_matrices(PROPER_PARTS[name]()):
-            assert sparse_rank(rows) == fraction_rank(rows)
+        matrices = boundary_matrices(PROPER_PARTS[name]())
+        assert tuple(sparse_rank(rows) for rows in matrices) == fraction_ranks(name)
 
     @pytest.mark.parametrize("fractions", [False, True])
     def test_random_matrices_match_fraction_rank(self, fractions):
@@ -265,8 +286,11 @@ class TestSparseRank:
     @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
     def test_clearing_keeps_every_rank(self, name, monkeypatch):
         poset = PROPER_PARTS[name]()
-        matrices = boundary_matrices(poset)
-        plain = [sparse_rank(rows) for rows in matrices]
+        sizes = [len(layer) for layer in chains_by_size(poset)]
+        coboundaries = [
+            transpose(rows, sizes[s]) for s, rows in enumerate(boundary_matrices(poset))
+        ]
+        plain = [sparse_rank(rows) for rows in coboundaries]
         seen = []
 
         def recording_rank(rows, pivots=None):
@@ -276,12 +300,41 @@ class TestSparseRank:
 
         monkeypatch.setattr(homology, "sparse_rank", recording_rank)
         reduced_betti(poset)
-        # reduced_betti works from the largest chain size down, and leaves
-        # out of each matrix one row per pivot of the matrix above it.
-        kept = [len(rows) for rows in matrices]
-        for s in range(len(matrices) - 1):
-            kept[s] -= plain[s + 1]
-        assert seen == list(zip(kept, plain))[::-1]
+        # reduced_betti works on coboundaries from the smallest chain size
+        # up, and leaves out of each matrix one row per pivot of the
+        # matrix below it.
+        kept = [len(rows) for rows in coboundaries]
+        for s in range(1, len(coboundaries)):
+            kept[s] -= plain[s - 1]
+        assert seen == list(zip(kept, plain))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_only_chains_from_minimal_elements_are_reduced(self, n):
+        # build_pp_poset lists ids in a linear extension, so the row of a
+        # chain whose first element lies above another pivots at once.
+        poset = build_pp_poset(n).without_bottom()
+        minimal = set(poset.minimal_indices())
+        layers = chains_by_size(poset)
+        cleared = set()
+        for s in range(1, len(layers)):
+            small = layers[s - 1]
+            kept = [i for i in reversed(range(len(small))) if i not in cleared]
+            rows = homology._coboundary_rows(small, layers[s], cleared)
+            assert len(rows) == len(kept)
+            pivots = {}
+            for i, row in zip(kept, rows):
+                if small[i] and small[i][0] not in minimal:
+                    assert min(row) not in pivots
+                sparse_rank([row], pivots)
+            cleared = set(pivots)
+
+    @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
+    def test_betti_match_unreduced_fraction_ranks(self, name):
+        poset = PROPER_PARTS[name]()
+        sizes = [len(layer) for layer in chains_by_size(poset)]
+        ranks = [0, *fraction_ranks(name), 0]
+        expected = tuple(sizes[s] - ranks[s] - ranks[s + 1] for s in range(len(sizes)))
+        assert reduced_betti(poset) == expected
 
 
 # ----- parking function poset -----
