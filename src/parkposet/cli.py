@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 from itertools import permutations
@@ -764,6 +763,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tasks = [(name, nmax, kmax) for name in VERIFY_CHECKS]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported only here: multiprocessing adds about 1 MB to the memory
+        # of every process that imports it.
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_verify_check, tasks)
     else:

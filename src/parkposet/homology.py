@@ -108,21 +108,24 @@ def sparse_rank(
     """Rank over the rationals of a sparse matrix given as {column: value}
     rows with int or Fraction entries.
 
-    Elimination is fraction-free: each row is scaled by the lcm of its
-    denominators, and a row meeting a pivot on its smallest column
-    becomes a*row - b*pivot, with a and b the two leading entries divided
-    by their gcd.  Since a is nonzero this keeps the row space over Q, so
-    the rank is exact.  Each new pivot row is divided by its content, with
-    the sign that makes its leading entry positive, and stored under its
-    smallest column, in `pivots` when a dict is passed; the input rows are
-    not modified.
+    Elimination is fraction-free: a row of ints is copied as it is, any
+    other row is scaled by the lcm of its denominators, and a row meeting
+    a pivot on its smallest column becomes a*row - b*pivot, with a and b
+    the two leading entries divided by their gcd.  Since a is nonzero this
+    keeps the row space over Q, so the rank is exact.  Each new pivot row
+    is divided by its content, with the sign that makes its leading entry
+    positive, and stored under its smallest column, in `pivots` when a
+    dict is passed; the input rows are not modified.
     """
     if pivots is None:
         pivots = {}
     rank = 0
     for raw in rows:
-        scale = lcm(*(v.denominator for v in raw.values()))
-        row = {c: v.numerator * (scale // v.denominator) for c, v in raw.items() if v}
+        if all(isinstance(v, int) for v in raw.values()):
+            row = {c: v for c, v in raw.items() if v}
+        else:
+            scale = lcm(*(v.denominator for v in raw.values()))
+            row = {c: v.numerator * (scale // v.denominator) for c, v in raw.items() if v}
         while row:
             col = min(row)
             piv = pivots.get(col)

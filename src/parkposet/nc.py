@@ -28,20 +28,40 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_block_index", "_hash")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        canonical = tuple(
-            sorted((tuple(sorted(block)) for block in blocks), key=lambda b: b[0])
-        )
-        seen = [x for block in canonical for x in block]
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError(f"blocks {canonical!r} do not partition [{n}]")
-        self.n = n
-        self.blocks = canonical
-        index = {}
-        for pos, block in enumerate(canonical):
+        # One pass over the input records the input block of each element,
+        # rejecting elements outside [n], repeated elements and empty
+        # blocks.  One pass over [n] then lists each block in increasing
+        # order and the blocks by their minima, rejecting missing elements,
+        # and turns the record into the index of each element's block.
+        index = [-1] * (n + 1)
+        count = 0
+        for block in blocks:
+            empty = True
             for x in block:
-                index[x] = pos
+                if not 0 < x <= n or index[x] >= 0:
+                    raise ValueError(f"{x!r} is outside [{n}] or in two blocks")
+                index[x] = count
+                empty = False
+            if empty:
+                raise ValueError("a block is empty")
+            count += 1
+        position = [-1] * count
+        canonical: list[list[int]] = []
+        for x in range(1, n + 1):
+            b = index[x]
+            if b < 0:
+                raise ValueError(f"{x} lies in no block of a partition of [{n}]")
+            p = position[b]
+            if p < 0:
+                p = position[b] = len(canonical)
+                canonical.append([x])
+            else:
+                canonical[p].append(x)
+            index[x] = p
+        self.n = n
+        self.blocks = tuple(map(tuple, canonical))
         self._block_index = index
-        self._hash = hash((n, canonical))
+        self._hash = hash((n, self.blocks))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -61,17 +81,24 @@ class SetPartition:
         return len(self.blocks)
 
     def block_of(self, x: int) -> tuple[int, ...]:
-        """The block containing x, as a sorted tuple."""
+        """The block containing x, for x in [n], as a sorted tuple."""
         return self.blocks[self._block_index[x]]
 
     def block_index_of(self, x: int) -> int:
+        """The position in blocks of the block containing x, for x in [n]."""
         return self._block_index[x]
 
     def refines(self, other: "SetPartition") -> bool:
         """True when every block of self is contained in a block of other."""
         if self.n != other.n:
             raise ValueError("partitions live on different ground sets")
-        return all(set(b) <= set(other.block_of(b[0])) for b in self.blocks)
+        index = other._block_index
+        for block in self.blocks:
+            target = index[block[0]]
+            for x in block:
+                if index[x] != target:
+                    return False
+        return True
 
     def to_json(self) -> dict:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
@@ -104,10 +131,27 @@ def _blocks_cross(b1: Sequence[int], b2: Sequence[int]) -> bool:
 
 
 def is_noncrossing(partition: SetPartition) -> bool:
-    """Check the noncrossing condition pairwise on blocks."""
-    for b1, b2 in combinations(partition.blocks, 2):
-        if _blocks_cross(b1, b2):
+    """One left-to-right scan of [n] with a stack of the open blocks.
+
+    A block opens at its minimum and closes at its maximum.  Every other
+    element must belong to the innermost open block: if it belongs to a
+    block p below the top q of the stack, then min p < min q < x < max q
+    with x in p is an alternation.  Conversely two crossing blocks fail
+    the scan at the first element that comes back to the outer one.
+    """
+    blocks = partition.blocks
+    index = partition._block_index
+    stack: list[int] = []
+    for x in range(1, partition.n + 1):
+        p = index[x]
+        block = blocks[p]
+        if block[0] == x:
+            if len(block) > 1:
+                stack.append(p)
+        elif stack[-1] != p:
             return False
+        elif block[-1] == x:
+            stack.pop()
     return True
 
 
@@ -170,8 +214,12 @@ class Permutation:
 
     def __init__(self, word: Sequence[int]):
         word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"{word!r} is not a permutation word")
+        n = len(word)
+        seen = [False] * (n + 1)
+        for y in word:
+            if not 0 < y <= n or seen[y]:
+                raise ValueError(f"{word!r} is not a permutation word")
+            seen[y] = True
         self.word = word
 
     @property

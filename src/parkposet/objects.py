@@ -186,10 +186,13 @@ class ParkingElement:
     def __init__(self, partition: NoncrossingPartition, sigma: Permutation):
         if partition.n != sigma.n:
             raise ValueError("partition and permutation sizes differ")
+        images = sigma.word
         for block in partition.blocks:
-            images = [sigma(x) for x in block]
-            if any(a >= b for a, b in zip(images, images[1:])):
-                raise ValueError("sigma must be increasing on each block")
+            last = 0
+            for x in block:
+                if images[x - 1] <= last:
+                    raise ValueError("sigma must be increasing on each block")
+                last = images[x - 1]
         self.partition = partition
         self.sigma = sigma
         self._word: tuple[int, ...] | None = None
@@ -206,8 +209,9 @@ class ParkingElement:
     @property
     def labels(self) -> tuple[tuple[int, ...], ...]:
         """Label sets aligned with partition.blocks, each sorted."""
+        images = self.sigma.word
         return tuple(
-            tuple(self.sigma(x) for x in block) for block in self.partition.blocks
+            tuple([images[x - 1] for x in block]) for block in self.partition.blocks
         )
 
     @property
@@ -242,18 +246,32 @@ class ParkingElement:
     def from_triple(
         cls, partition: NoncrossingPartition, labels: Iterable[Iterable[int]]
     ) -> "ParkingElement":
+        """The element whose block partition.blocks[t] has label set
+        labels[t].  One pass fills both sigma, which sends each block
+        increasingly onto its sorted label set, and the parking word, which
+        the element keeps."""
         labels = [sorted(lab) for lab in labels]
-        if len(labels) != len(partition.blocks):
+        blocks = partition.blocks
+        if len(labels) != len(blocks):
             raise ValueError("one label set per block is required")
-        word = [0] * partition.n
-        for block, lab in zip(partition.blocks, labels):
-            if len(lab) != len(block):
-                raise ValueError(
-                    f"label set {lab} does not match block {block} in size"
-                )
-            for x, y in zip(block, lab):
-                word[x - 1] = y
-        return cls(partition, Permutation(word))
+        n = partition.n
+        images = [0] * n
+        word = [0] * n
+        try:
+            for block, lab in zip(blocks, labels):
+                if len(lab) != len(block):
+                    raise ValueError(
+                        f"label set {lab} does not match block {block} in size"
+                    )
+                low = block[0]
+                for x, y in zip(block, lab):
+                    images[x - 1] = y
+                    word[y - 1] = low
+        except (IndexError, TypeError):
+            raise ValueError(f"label sets {labels} do not partition [{n}]") from None
+        elem = cls(partition, Permutation(images))
+        elem._word = tuple(word)
+        return elem
 
     def to_triple(self) -> tuple[NoncrossingPartition, SetPartition, tuple]:
         return (self.partition, self.rho, self.labels)
@@ -265,10 +283,11 @@ class ParkingElement:
         """Parking word: position i carries min B for the block B with
         i in the label set of B."""
         if self._word is None:
+            images = self.sigma.word
             w = [0] * self.n
-            for block, lab in zip(self.partition.blocks, self.labels):
-                for pos in lab:
-                    w[pos - 1] = block[0]
+            for block in self.partition.blocks:
+                for x in block:
+                    w[images[x - 1] - 1] = block[0]
             self._word = tuple(w)
         return self._word
 
@@ -281,13 +300,10 @@ class ParkingElement:
         for w in word:
             counts[w - 1] += 1
         partition = lukasiewicz_decode(counts)
-        by_min = {block[0]: block for block in partition.blocks}
-        labels = {m: [] for m in by_min}
+        labels: list[list[int]] = [[] for _ in partition.blocks]
         for pos, w in enumerate(word, start=1):
-            labels[w].append(pos)
-        return cls.from_triple(
-            partition, [labels[block[0]] for block in partition.blocks]
-        )
+            labels[partition.block_index_of(w)].append(pos)
+        return cls.from_triple(partition, labels)
 
     # ----- tree form, arch decomposition route -----
 
@@ -296,19 +312,7 @@ class ParkingElement:
         region becomes the root of that region's subtree, and the gaps
         between its consecutive elements (plus the tail) become the
         ordered child regions."""
-        partition, sigma = self.partition, self.sigma
-
-        def build(region: tuple[int, ...]) -> Tree:
-            if not region:
-                return Tree.leaf()
-            block = partition.block_of(region[0])
-            children = []
-            for j, e in enumerate(block):
-                hi = block[j + 1] if j + 1 < len(block) else region[-1] + 1
-                children.append(build(tuple(x for x in region if e < x < hi)))
-            return Tree((sigma(x) for x in block), children)
-
-        return build(tuple(range(1, self.n + 1)))
+        return _arch_tree(self.partition, self.sigma.word, tuple(range(1, self.n + 1)))
 
     @classmethod
     def from_tree(cls, tree: Tree) -> "ParkingElement":
@@ -316,23 +320,11 @@ class ParkingElement:
         from subtree weights: consecutive block elements differ by the
         weight of the region between them plus one."""
         n = validate_tree(tree, k=1)
-        blocks: list[list[int]] = []
-        sigma_word = [0] * n
-
-        def place(node: Tree, start: int) -> None:
-            block = []
-            e = start
-            for child, letter in zip(node.children, node.label):
-                block.append(e)
-                sigma_word[e - 1] = letter
-                if not child.is_leaf():
-                    place(child, e + 1)
-                e = e + child.weight + 1
-            blocks.append(block)
-
         if n == 0:
             return cls(NoncrossingPartition(0, []), Permutation(()))
-        place(tree, 1)
+        blocks: list[list[int]] = []
+        sigma_word = [0] * n
+        _place(tree, 1, blocks, sigma_word)
         return cls(NoncrossingPartition(n, blocks), Permutation(sigma_word))
 
     # ----- function form -----
@@ -465,6 +457,42 @@ class ParkingElement:
         if element.n != n:
             raise ValueError("composition does not cover [n]")
         return element
+
+
+# The two recursions of the arch decomposition live at module level, not
+# as closures: a recursive closure is a reference cycle, so everything it
+# holds would wait for the cyclic garbage collector instead of being
+# freed when the call returns.
+
+
+def _arch_tree(
+    partition: NoncrossingPartition, images: Sequence[int], region: tuple[int, ...]
+) -> Tree:
+    """The subtree of a region of [n] under ParkingElement.to_tree."""
+    if not region:
+        return Tree.leaf()
+    block = partition.block_of(region[0])
+    children = []
+    for j, e in enumerate(block):
+        hi = block[j + 1] if j + 1 < len(block) else region[-1] + 1
+        children.append(
+            _arch_tree(partition, images, tuple(x for x in region if e < x < hi))
+        )
+    return Tree([images[x - 1] for x in block], children)
+
+
+def _place(node: Tree, start: int, blocks: list, sigma_word: list) -> None:
+    """Place the block of node from position start on, and its subtrees
+    in the gaps, for ParkingElement.from_tree."""
+    block = []
+    e = start
+    for child, letter in zip(node.children, node.label):
+        block.append(e)
+        sigma_word[e - 1] = letter
+        if not child.is_leaf():
+            _place(child, e + 1, blocks, sigma_word)
+        e = e + child.weight + 1
+    blocks.append(block)
 
 
 def distributions(

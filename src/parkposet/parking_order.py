@@ -11,10 +11,13 @@ The poset is graded by number of blocks minus one, has a unique bottom
 artificial top turns it into a lattice.
 
 Below an element sits one element per noncrossing coarsening of its
-partition (descend), so its ideal is its partition's ideal in NC_n and
-its lower covers are the NC_n lower covers lifted by descent.  A meet is
-one descent too, to the finest noncrossing partition on which the two
-elements descend alike (pp_meet).
+partition (descend), so its ideal is its partition's ideal in NC_n.  Its
+covers are local edits: a lower cover merges two blocks whose union
+crosses no other block and unions their label sets (lower_covers), and
+an upper cover splits a block and shares out its labels (upper_covers).
+The poset builder lifts the NC_n lower covers by descent on the parking
+word instead.  A meet is one descent, to the finest noncrossing
+partition on which the two elements descend alike (pp_meet).
 """
 
 from __future__ import annotations
@@ -172,9 +175,60 @@ def upper_covers(elem: ParkingElement) -> list[ParkingElement]:
     return out
 
 
+def _nesting(partition: NoncrossingPartition) -> tuple[list[int], list[int]]:
+    """For each block, the index of the innermost block around it (-1 for
+    none) and the gap of that block it sits in, counted as the number of
+    that block's elements below its minimum; by one scan of [n] with a
+    stack of the open blocks."""
+    blocks = partition.blocks
+    parent = [-1] * len(blocks)
+    gap = [0] * len(blocks)
+    seen = [0] * len(blocks)
+    stack: list[int] = []
+    for x in range(1, partition.n + 1):
+        p = partition.block_index_of(x)
+        block = blocks[p]
+        if block[0] == x:
+            if stack:
+                parent[p] = stack[-1]
+                gap[p] = seen[stack[-1]]
+            if len(block) > 1:
+                stack.append(p)
+        elif block[-1] == x:
+            stack.pop()
+        seen[p] += 1
+    return parent, gap
+
+
 def lower_covers(elem: ParkingElement) -> list[ParkingElement]:
-    """One element per NC_n lower cover of the partition, by descent."""
-    return [descend(elem, q) for q in nc_lower_covers(elem.partition)]
+    """Merge blocks i < j of the partition, and their label sets, whenever
+    the merged block crosses no other block; in the order of
+    nc_lower_covers.
+
+    The test reads the nesting of the blocks: the merge is noncrossing
+    exactly when block i is the innermost block around block j, or the
+    two blocks sit in the same gap of the same innermost block (or of
+    none).  Any other block around j, or any element of a common
+    surrounding block between them, would cross the merged block.
+    """
+    partition = elem.partition
+    blocks = partition.blocks
+    labels = elem.labels
+    n = elem.n
+    parent, gap = _nesting(partition)
+    out = []
+    for i, j in combinations(range(len(blocks)), 2):
+        if parent[j] != i and (parent[j] != parent[i] or gap[j] != gap[i]):
+            continue
+        # The merged block keeps the minimum of block i, so it stays at i.
+        merged = NoncrossingPartition(
+            n, blocks[:i] + (blocks[i] + blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
+        )
+        merged_labels = (
+            labels[:i] + (labels[i] + labels[j],) + labels[i + 1 : j] + labels[j + 1 :]
+        )
+        out.append(ParkingElement.from_triple(merged, merged_labels))
+    return out
 
 
 def _block_minima(partition: SetPartition) -> list[int]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -143,6 +144,22 @@ class TestConvert:
             capsys, "convert", "--from", source, "--to", "word", "--input", text
         )
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["triple", "pair"])
+    def test_empty_block_is_an_argument_error(self, source):
+        text = json.dumps(
+            {"partition": [[1, 2, 3], []], "labels": [[1, 2, 3], []], "sigma": [1, 2, 3]}
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "parkposet.cli", "convert", "--from", source,
+             "--to", "word", "--input", text],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"bad {source} input" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestPoset:
@@ -498,7 +515,7 @@ class TestVerifyAll:
             def map(self, fn, tasks):
                 return [fn(task) for task in tasks]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert run(capsys, "verify-all", "--n", "2", "--jobs", "64")[0] == 0
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

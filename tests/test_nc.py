@@ -11,6 +11,7 @@ from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
     SetPartition,
+    _blocks_cross,
     embed_permutation,
     enumerate_all_partitions,
     enumerate_noncrossing,
@@ -93,6 +94,35 @@ def _crossing_oracle(p):
 def test_noncrossing_matches_alternation_oracle(n):
     for p in enumerate_all_partitions(n):
         assert is_noncrossing(p) == (not _crossing_oracle(p))
+
+
+def _pairwise_noncrossing(blocks):
+    """The pairwise route: no two canonical blocks cross."""
+    return not any(_blocks_cross(b1, b2) for b1, b2 in combinations(blocks, 2))
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        )
+    )
+)
+def test_stack_scan_accepts_exactly_the_pairwise_oracle(drawn):
+    n, owners = drawn
+    groups = {}
+    for x, b in enumerate(owners, start=1):
+        groups.setdefault(b, []).append(x)
+    # Blocks in decreasing order, each decreasing: the reverse of canonical.
+    blocks = [group[::-1] for group in reversed(groups.values())]
+    p = SetPartition(n, blocks)
+    expected = _pairwise_noncrossing(p.blocks)
+    assert is_noncrossing(p) == expected
+    if expected:
+        assert NoncrossingPartition(n, blocks) == p
+    else:
+        with pytest.raises(ValueError, match="crossing"):
+            NoncrossingPartition(n, blocks)
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -1,5 +1,6 @@
 """Poset kernel plus the order structure of the parking poset."""
 
+import itertools
 import math
 import random
 
@@ -314,6 +315,78 @@ def test_one_partition_per_split(monkeypatch):
             patch.setattr(parking_order, "NoncrossingPartition", Counted)
             upper_covers(elem)
         assert len(calls) == splits
+
+
+def split_route_upper_covers(elem):
+    """Upper covers by the split route, kept here as the reference for
+    upper_covers: split a block into a run without its minimum and the
+    rest, and hand each way of choosing the run's labels to from_triple."""
+    out = []
+    blocks = elem.partition.blocks
+    labels = elem.labels
+    for idx, (block, lab) in enumerate(zip(blocks, labels)):
+        others = blocks[:idx] + blocks[idx + 1 :]
+        for i in range(1, len(block)):
+            for j in range(i, len(block)):
+                b2 = block[i : j + 1]
+                b1 = block[:i] + block[j + 1 :]
+                split = NoncrossingPartition(elem.n, others + (b1, b2))
+                at = split.blocks.index(b2)
+                for s2 in itertools.combinations(lab, len(b2)):
+                    split_labels = list(labels)
+                    split_labels[idx] = [x for x in lab if x not in s2]
+                    split_labels.insert(at, s2)
+                    out.append(ParkingElement.from_triple(split, split_labels))
+    return out
+
+
+def random_parking_word(rng, n):
+    """A uniform parking word: of the n + 1 cyclic shifts of a word over
+    Z/(n + 1), exactly one parks (Pollak)."""
+    word = [rng.randrange(n + 1) for _ in range(n)]
+    for shift in range(n + 1):
+        shifted = [(w + shift) % (n + 1) + 1 for w in word]
+        if all(v <= i + 1 for i, v in enumerate(sorted(shifted))):
+            return shifted
+    raise AssertionError("no cyclic shift parks")
+
+
+def cover_oracle_elements():
+    yield from (e for n in range(1, 6) for e in enumerate_elements(n))
+    rng = random.Random(20260)
+    for n in (6, 7, 8):
+        for _ in range(150):
+            yield ParkingElement.from_word(random_parking_word(rng, n))
+
+
+def test_covers_match_descent_and_split_routes_in_order():
+    for elem in cover_oracle_elements():
+        downs = [descend(elem, q) for q in nc_lower_covers(elem.partition)]
+        ups = split_route_upper_covers(elem)
+        for covers, expected in ((lower_covers(elem), downs), (upper_covers(elem), ups)):
+            assert covers == expected
+            # The kept parking word agrees with the one read off sigma.
+            assert [c.word for c in covers] == [
+                ParkingElement(c.partition, c.sigma).word for c in expected
+            ]
+
+
+def test_one_partition_per_merge(monkeypatch):
+    calls = []
+
+    class Counted(NoncrossingPartition):
+        __slots__ = ()
+
+        def __init__(self, n, blocks):
+            calls.append(n)
+            super().__init__(n, blocks)
+
+    for elem in cover_oracle_elements():
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(parking_order, "NoncrossingPartition", Counted)
+            covers = lower_covers(elem)
+        assert len(calls) == len(covers)
 
 
 def test_upper_and_lower_covers_are_inverse_relations():

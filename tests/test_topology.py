@@ -276,6 +276,23 @@ class TestSparseRank:
             assert sparse_rank(rows) == fraction_rank(rows)
             assert rows == before
 
+    def test_int_and_fraction_rows_mixed_match_fraction_rank(self):
+        rng = random.Random(20217)
+        for _ in range(300):
+            rows = random_sparse_matrix(rng, fractions=False)
+            # Turn some rows into Fraction rows, some of them with
+            # integral entries, and leave the others as int rows.
+            for t, row in enumerate(rows):
+                if rng.random() < 0.5:
+                    d = rng.choice([1, 2, 3, 5])
+                    rows[t] = {c: Fraction(v, d) for c, v in row.items()}
+            before = copy.deepcopy(rows)
+            assert sparse_rank(rows) == fraction_rank(rows)
+            assert rows == before
+            assert [type(v) for r in rows for v in r.values()] == [
+                type(v) for r in before for v in r.values()
+            ]
+
     def test_pivot_rows(self):
         rows = [{2: Fraction(-2, 3), 5: Fraction(4, 9)}, {0: 6, 2: 4}, {0: 3, 2: 2}]
         pivots = {}
