@@ -41,7 +41,6 @@ from .enumeration import (
     parking_character,
     prime_parking_character,
     tree_action,
-    word_action,
 )
 from .forests import (
     build_cluster_poset,
@@ -76,6 +75,7 @@ from .objects import (
 from .parking_order import (
     build_nc_poset,
     build_pp_poset,
+    element_from_block_labels,
     permutahedron_face_poset,
     pp_action_ids,
     right_comb_subposet,
@@ -176,11 +176,11 @@ def _parse_element(kind: str, text: str) -> ParkingElement:
             partition = NoncrossingPartition(sigma.n, data["partition"])
             return ParkingElement(partition, sigma)
         if kind == "triple":
-            blocks = data["partition"]
+            blocks, labels = data["partition"], data["labels"]
+            if len(labels) != len(blocks):
+                raise ValueError("one label set per block is required")
             n = sum(len(b) for b in blocks)
-            return ParkingElement.from_triple(
-                NoncrossingPartition(n, blocks), data["labels"]
-            )
+            return element_from_block_labels(n, zip(blocks, labels))
     except (KeyError, TypeError, ValueError) as exc:
         raise CommandError(f"bad {kind} input: {exc}") from exc
     raise CommandError(f"unknown representation {kind!r}")
@@ -574,35 +574,42 @@ def _verify_homology(nmax: int, kmax: int) -> tuple[bool, str]:
     return True, f"betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..{top}"
 
 
-def _fixed(perm: Permutation, words: Iterable[tuple[int, ...]]) -> int:
-    return sum(1 for w in words if word_action(perm, w) == w)
+def _cycle_pairs(perm: Permutation) -> list[tuple[int, int]]:
+    """Pairs of consecutive positions (0-based) on each cycle of perm."""
+    return [(a - 1, b - 1) for cyc in perm.cycles() for a, b in zip(cyc, cyc[1:])]
+
+
+def _fixed(pairs: list[tuple[int, int]], words: Iterable[tuple[int, ...]]) -> int:
+    """Words fixed by a permutation: those constant on each of its cycles,
+    given by ``_cycle_pairs``."""
+    return sum(1 for w in words if all(w[a] == w[b] for a, b in pairs))
 
 
 def _verify_characters(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     for n in range(2, top + 1):
-        reps = class_representatives(n)
+        classes = [(perm, _cycle_pairs(perm)) for perm in class_representatives(n)]
         words = {k: list(enumerate_parking_words(n, k)) for k in range(1, kmax + 1)}
         prime_words = [w for w in words[1] if is_prime_parking_word(w)]
-        for perm in reps:
+        for perm, pairs in classes:
             value = top_homology_character(n, perm)
             if value != signed_prime_character(n, 1, perm):
                 return False, f"n={n}, type {_cycle_type_label(perm)}: {value}"
-            fixed_prime = _fixed(perm, prime_words)
+            fixed_prime = _fixed(pairs, prime_words)
             if fixed_prime != prime_parking_character(n, 1, perm):
                 return False, f"n={n}: prime fixed count {fixed_prime}"
             sign = -1 if (n - perm.num_cycles()) % 2 else 1
             if value != sign * fixed_prime:
                 return False, f"n={n}: sign times prime count fails"
             for k, kwords in words.items():
-                fixed = _fixed(perm, kwords)
+                fixed = _fixed(pairs, kwords)
                 if fixed != parking_character(n, k, perm):
                     return False, f"(n,k)=({n},{k}): fixed {fixed}"
         if n == 3:
             for k, kwords in words.items():
                 primes = [w for w in kwords if is_prime_parking_word(w, k)]
-                for perm in reps:
-                    fixed = _fixed(perm, primes)
+                for perm, pairs in classes:
+                    fixed = _fixed(pairs, primes)
                     if fixed != prime_parking_character(3, k, perm):
                         return False, f"k={k}: prime k-word count {fixed}"
     return True, f"Lefschetz and fixed-point characters, n<={top}, k<={kmax}"
@@ -712,6 +719,15 @@ def _verify_kdivisible(nmax: int, kmax: int) -> tuple[bool, str]:
     return True, f"k-divisible counts, Edelman subposets, homology, k<={kmax}"
 
 
+def _maps_covers_onto_covers(
+    source: FinitePoset, target: FinitePoset, fid: list[int]
+) -> bool:
+    """Whether the bijection of ids ``fid`` is an order isomorphism: between
+    finite posets, exactly when it maps the covers onto the covers."""
+    moved = sorted((fid[i], fid[j]) for i, j in source.cover_index_pairs())
+    return moved == target.cover_index_pairs()
+
+
 def _verify_permutahedron(nmax: int, kmax: int) -> tuple[bool, str]:
     top = min(nmax, 4)
     for n in range(2, top + 1):
@@ -724,10 +740,8 @@ def _verify_permutahedron(nmax: int, kmax: int) -> tuple[bool, str]:
         if set(image) != set(faces.elements):
             return False, f"n={n}: composition witness not a bijection"
         fid = [faces.index[c] for c in image]
-        for i, a in enumerate(comb.elements):
-            for j, b in enumerate(comb.elements):
-                if comb.leq_index(i, j) != faces.leq_index(fid[i], fid[j]):
-                    return False, f"n={n}: witness breaks order at {a!r},{b!r}"
+        if not _maps_covers_onto_covers(comb, faces, fid):
+            return False, f"n={n}: composition witness breaks the order"
     return True, f"right comb matches composition face poset, n=2..{top}"
 
 

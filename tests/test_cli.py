@@ -11,11 +11,16 @@ import pytest
 
 from parkposet import cli, forests, kdivisible
 from parkposet.cli import main
+from parkposet.enumeration import enumerate_parking_words, word_action
 from parkposet.homology import signed_prime_character
 from parkposet.nc import class_representatives
 from parkposet.numbers import catalan
 from parkposet.objects import ParkingElement
-from parkposet.parking_order import build_pp_poset
+from parkposet.parking_order import (
+    build_pp_poset,
+    permutahedron_face_poset,
+    right_comb_subposet,
+)
 from parkposet.poset import FinitePoset
 
 
@@ -160,6 +165,28 @@ class TestConvert:
         assert result.stdout == ""
         assert f"bad {source} input" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "triple, word",
+        [
+            ({"partition": [[2], [1]], "labels": [[1], [2]]}, [2, 1]),
+            ({"partition": [[2, 3], [1, 4]], "labels": [[1, 2], [3, 4]]}, [2, 2, 1, 1]),
+            ({"partition": [[2, 3], [1, 4, 5]], "labels": [[4, 5], [1, 2, 3]]},
+             [1, 1, 1, 2, 2]),
+        ],
+    )
+    def test_triple_blocks_out_of_canonical_order(self, triple, word):
+        """Each label set stays with its own input block, also when the
+        blocks are not given in canonical order."""
+        result = subprocess.run(
+            [sys.executable, "-m", "parkposet.cli", "convert", "--from", "triple",
+             "--to", "word", "--input", json.dumps(triple)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {"n": len(word), "word": word}
 
 
 class TestPoset:
@@ -527,6 +554,27 @@ class TestVerifyAll:
             True,
             "betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..5",
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fixed_words_are_constant_on_cycles(self, n, k):
+        """Constancy on the cycles of perm holds exactly for the words
+        that word_action(perm, .) fixes."""
+        for perm in class_representatives(n):
+            pairs = cli._cycle_pairs(perm)
+            for w in enumerate_parking_words(n, k):
+                assert (cli._fixed(pairs, [w]) == 1) == (word_action(perm, w) == w)
+
+    def test_permutahedron_witness_with_two_images_swapped_is_rejected(self):
+        comb = right_comb_subposet(3)
+        faces = permutahedron_face_poset(3)
+        fid = [faces.index[elem.to_composition()] for elem in comb.elements]
+        assert cli._maps_covers_onto_covers(comb, faces, fid)
+        for i in range(len(fid)):
+            for j in range(i + 1, len(fid)):
+                swapped = list(fid)
+                swapped[i], swapped[j] = fid[j], fid[i]
+                assert not cli._maps_covers_onto_covers(comb, faces, swapped)
 
     def test_bounds(self, capsys):
         assert run(capsys, "verify-all", "--n", "9")[0] == 2

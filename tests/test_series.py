@@ -1,5 +1,6 @@
 """Tests for the exact truncated series and the chain counting results."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -120,3 +121,85 @@ def test_whitney_first_kind_is_negative_one_point():
     for n in range(1, 8):
         for length in range(n):
             assert chain_count(n, -1, length) == whitney_first_kind(n, length)
+
+
+# ----- ordinary-coefficient oracle -----
+#
+# A second route for the arithmetic: series as dicts of ordinary
+# Fraction coefficients [x^i t^j], with the plain Cauchy product, exp as
+# the sum of g^m / m! and Horner composition.
+
+
+def _ordinary(series: TruncatedSeries) -> dict:
+    return {key: series.coeff(*key) for key in series.coeffs}
+
+
+def _oracle_mul(a: dict, b: dict, order: int) -> dict:
+    out: dict = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            if i1 + i2 <= order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + v1 * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def _oracle_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = out.get(key, 0) + value
+    return {key: v for key, v in out.items() if v}
+
+
+def _oracle_exp(g: dict, order: int) -> dict:
+    result = {(0, 0): Fraction(1)}
+    power = {(0, 0): Fraction(1)}
+    for m in range(1, order + 1):
+        power = {key: v / m for key, v in _oracle_mul(power, g, order).items()}
+        result = _oracle_add(result, power)
+    return result
+
+
+def _oracle_compose(f: dict, g: dict, order: int) -> dict:
+    result: dict = {}
+    for i in range(order, -1, -1):
+        result = _oracle_mul(result, g, order)
+        result = _oracle_add(result, {(0, j): v for (d, j), v in f.items() if d == i})
+    return result
+
+
+def _random_ordinary(rng, order: int, integral: bool, lowest: int) -> dict:
+    coeffs = {}
+    for i in range(lowest, order + 1):
+        for j in range(3):
+            if rng.random() < 0.6:
+                den = 1 if integral else rng.randint(1, 4)
+                coeffs[(i, j)] = Fraction(rng.randint(-5, 5), den)
+    return coeffs
+
+
+@pytest.mark.parametrize("integral", [True, False])
+@pytest.mark.parametrize("order", range(8))
+def test_arithmetic_matches_ordinary_oracle(order, integral):
+    rng = random.Random(1000 * order + integral)
+    for _ in range(3):
+        a = _random_ordinary(rng, order, integral, 0)
+        b = _random_ordinary(rng, order, integral, 0)
+        g = _random_ordinary(rng, order, integral, 1)
+        sa, sb, sg = (TruncatedSeries(order, c) for c in (a, b, g))
+        assert _ordinary(sa * sb) == _oracle_mul(a, b, order)
+        assert _ordinary(sg.exp()) == _oracle_exp(g, order)
+        assert _ordinary(sa.compose(sg)) == _oracle_compose(a, g, order)
+
+
+def test_chain_series_coefficients_are_ints():
+    for k in range(1, 7):
+        assert all(type(v) is int for v in chain_series(k, 6).coeffs.values())
+        assert all(type(v) is int for v in chain_inverse_series(k, 6).coeffs.values())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_series_chain_count_matches_closed_formula(k):
+    for n in range(1, 10):
+        for length in range(n):
+            assert series_chain_count(n, k, length) == chain_count(n, k, length)
