@@ -181,7 +181,7 @@ def _parse_element(kind: str, text: str) -> ParkingElement:
                 raise ValueError("one label set per block is required")
             n = sum(len(b) for b in blocks)
             return element_from_block_labels(n, zip(blocks, labels))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CommandError(f"bad {kind} input: {exc}") from exc
     raise CommandError(f"unknown representation {kind!r}")
 

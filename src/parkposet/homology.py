@@ -1,11 +1,12 @@
 """Exact order-complex homology for finite posets.
 
 The order complex of a finite poset is the simplicial complex whose faces
-are the strict chains.  This module computes its reduced rational Betti
-numbers with exact arithmetic: each boundary rank is the rank of the
-coboundary, its transpose, from fraction-free sparse elimination over
-Python integers, taken from the smallest chain size up with clearing
-between degrees.  Fraction-free elimination is exact because each step
+are the strict chains.  They are listed and counted on ids, one size at a
+time: a chain grows by an id strictly above its top, read from the up
+masks.  This module computes the reduced rational Betti numbers with
+exact arithmetic: each boundary rank is the rank of the coboundary, its
+transpose, from fraction-free sparse elimination over Python integers,
+taken from the smallest chain size up with clearing between degrees.  Fraction-free elimination is exact because each step
 replaces a row by an integer combination a*row - b*pivot with a nonzero,
 which keeps the row space over Q.  Clearing is exact because each row it
 leaves out lies in the span of the rows that stay, so no rank changes.
@@ -37,7 +38,7 @@ from typing import Iterable, Sequence
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .numbers import catalan
 from .parking_order import build_pp_poset, pp_action_ids
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits
 
 # ----- strict chains -----
 
@@ -47,54 +48,33 @@ def count_chains_by_size(poset: FinitePoset) -> list[int]:
 
     Entry 0 counts the empty chain, so it is always 1.  The list is what
     the flag f-vector of the order complex aggregates to: entry s is the
-    number of faces of dimension s - 1.
+    number of faces of dimension s - 1.  One vector per size holds the
+    number of s-chains topped by each element; the next is summed over
+    the strict down lists, until a vector is all zero.
     """
-    m = len(poset)
-    below = poset.down_lists()
-    size_cap = poset.height() + 2 if m else 1
-    ending = [[0] * size_cap for _ in range(m)]
-    for i in poset.linear_extension:
-        ending[i][1] = 1
-        for j in below[i]:
-            if j == i:
-                continue
-            row = ending[j]
-            for s in range(1, size_cap - 1):
-                ending[i][s + 1] += row[s]
-    totals = [0] * size_cap
-    totals[0] = 1
-    for row in ending:
-        for s in range(1, size_cap):
-            totals[s] += row[s]
-    while len(totals) > 1 and totals[-1] == 0:
-        totals.pop()
+    below = [[j for j in down if j != i] for i, down in enumerate(poset.down_lists())]
+    totals = [1]
+    vec = [1] * len(poset)
+    while any(vec):
+        totals.append(sum(vec))
+        vec = [sum(map(vec.__getitem__, down)) for down in below]
     return totals
 
 
 def chains_by_size(poset: FinitePoset) -> list[list[tuple[int, ...]]]:
-    """All strict chains as increasing index tuples, grouped by size.
+    """All strict chains as id tuples from bottom to top, grouped by size.
 
-    Entry s lists the chains with s elements; entry 0 is [()] for the
-    empty chain.  Sizes with no chains at the tail are trimmed.
+    Entry s lists the chains with s elements, sorted; entry 0 is [()] for
+    the empty chain, and sizes with no chains are left out at the tail.
+    Layer s + 1 extends each chain of layer s by every id strictly above
+    its top, in increasing order, so it comes out sorted.
     """
-    m = len(poset)
-    below = poset.down_lists()
-    ending: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for i in poset.linear_extension:
-        chains = [(i,)]
-        for j in below[i]:
-            if j != i:
-                chains.extend(ch + (i,) for ch in ending[j])
-        ending[i] = chains
+    above = [_bits(poset.upset_mask(i) ^ 1 << i) for i in range(len(poset))]
     layers: list[list[tuple[int, ...]]] = [[()]]
-    for chains in ending:
-        for ch in chains:
-            s = len(ch)
-            while len(layers) <= s:
-                layers.append([])
-            layers[s].append(ch)
-    for layer in layers[1:]:
-        layer.sort()
+    layer = [(i,) for i in range(len(poset))]
+    while layer:
+        layers.append(layer)
+        layer = [ch + (j,) for ch in layer for j in above[ch[-1]]]
     return layers
 
 

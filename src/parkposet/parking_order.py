@@ -354,9 +354,9 @@ def build_pp_poset(n: int) -> FinitePoset:
     block_min = [_block_minima(q) for q in nc.elements]
     by_word = {e.word: i for i, e in enumerate(elements)}
     covers = []
-    for i, elem in enumerate(elements):
+    for i, (elem, part) in enumerate(zip(elements, partition_ids(n))):
         word = elem.word
-        for q in nc.down[nc.index[elem.partition]]:
+        for q in nc.down[part]:
             low = block_min[q]
             covers.append((by_word[tuple(low[m - 1] for m in word)], i))
     return FinitePoset(elements, covers)
@@ -371,8 +371,8 @@ def enumeration_ids(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def partition_ids(n: int) -> tuple[int, ...]:
     """The build_nc_poset(n) id of each build_pp_poset(n) element's partition."""
-    nc = build_nc_poset(n)
-    return tuple(nc.index[e.partition] for e in build_pp_poset(n).elements)
+    index = build_nc_poset(n).index
+    return tuple(index[e.partition] for e in _parking_listing(n)[0])
 
 
 @lru_cache(maxsize=None)

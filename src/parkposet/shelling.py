@@ -216,11 +216,14 @@ class ShellingReport:
         return not self.violations
 
 
-def _chains(order: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Maximal chains from id 0 by a depth-first walk over the sorted
-    cover lists, so in the chain order."""
-    chain = [0]
-    stack = [iter(order[0])]
+def _chains(
+    order: list[list[int]] | dict[int, list[int]], start: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Maximal chains from id ``start`` by a depth-first walk over the
+    sorted cover lists, so in the chain order.  ``order`` is indexed by
+    id and needs only the ids reachable from ``start``."""
+    chain = [start]
+    stack = [iter(order[start])]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
@@ -572,23 +575,19 @@ def check_nc_el_labeling(n: int) -> int:
     """
     poset = build_nc_poset(n)
     elements = poset.elements
-    index = poset.index
-    labels = _nc_labels(poset)
+    up, labels = poset.up, _nc_labels(poset)
     checked = 0
     for a in range(len(elements)):
-        for b in range(len(elements)):
-            if a == b or not poset.leq_index(a, b):
-                continue
+        for b in _bits(poset.upset_mask(a) ^ 1 << a):
             checked += 1
-            interval = poset.interval(elements[a], elements[b])
+            inside = poset.upset_mask(a) & poset.downset_mask(b)
+            order = {i: [j for j in up[i] if inside >> j & 1] for i in _bits(inside)}
             sequences = [
-                tuple(labels[(index[lo], index[hi])] for lo, hi in pairwise(chain))
-                for chain in interval.maximal_chains()
+                tuple(map(labels.__getitem__, pairwise(chain)))
+                for chain in _chains(order, a)
             ]
             increasing = [
-                seq
-                for seq in sequences
-                if all(seq[t] < seq[t + 1] for t in range(len(seq) - 1))
+                seq for seq in sequences if all(x < y for x, y in pairwise(seq))
             ]
             if len(increasing) != 1 or increasing[0] != min(sequences):
                 raise ValueError(

@@ -188,6 +188,28 @@ class TestConvert:
         assert result.stderr == ""
         assert json.loads(result.stdout) == {"n": len(word), "word": word}
 
+    @pytest.mark.parametrize(
+        "source, text",
+        [
+            ("tree", '{"label": [], "children": [' * 2000 + ']}' * 2000),
+            ("word", "[" * 5000 + "]" * 5000),
+        ],
+        ids=["tree", "word"],
+    )
+    def test_input_nested_too_deep_is_an_argument_error(self, source, text):
+        """A RecursionError while decoding is bad input, not a broken
+        invariant."""
+        result = subprocess.run(
+            [sys.executable, "-m", "parkposet.cli", "convert", "--from", source,
+             "--to", "word", "--input", text],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"bad {source} input" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestPoset:
     def test_parking_json(self, capsys):

@@ -21,6 +21,7 @@ from parkposet.parking_order import (
     element_from_block_labels,
     upper_covers,
 )
+from parkposet.poset import FinitePoset
 from parkposet.shelling import (
     _chains,
     _check_shelling,
@@ -420,6 +421,47 @@ def test_nc_el_property():
     assert check_nc_el_labeling(3) == 7
     assert check_nc_el_labeling(4) == 41
     assert check_nc_el_labeling(5) == 231
+    assert check_nc_el_labeling(6) == 1296
+
+
+def test_nc_el_check_fails_on_constant_labels(monkeypatch):
+    def constant(nc):
+        return {(a, b): (1, 2) for a, ups in enumerate(nc.up) for b in ups}
+
+    monkeypatch.setattr(shelling, "_nc_labels", constant)
+    with pytest.raises(ValueError, match="EL property fails"):
+        check_nc_el_labeling(3)
+
+
+def test_nc_el_check_walks_intervals_on_ids(monkeypatch):
+    """The check walks the maximal chains of every interval [a, b], as
+    `interval` and `maximal_chains` give them, and builds no poset."""
+    nc = build_nc_poset(4)
+    built, walked = [], []
+    init = FinitePoset.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spy(order, start=0):
+        for chain in _chains(order, start):
+            walked.append(chain)
+            yield chain
+
+    monkeypatch.setattr(FinitePoset, "__init__", counted)
+    monkeypatch.setattr(shelling, "_chains", spy)
+    assert check_nc_el_labeling(4) == 41
+    assert built == []
+    monkeypatch.undo()
+    expected = [
+        tuple(map(nc.index.__getitem__, chain))
+        for a in nc.elements
+        for b in nc.elements
+        if a != b and nc.leq(a, b)
+        for chain in nc.interval(a, b).maximal_chains()
+    ]
+    assert sorted(walked) == sorted(expected)
 
 
 # ----- supporting properties of the statistics -----

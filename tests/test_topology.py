@@ -212,16 +212,26 @@ class TestChains:
         for poset in (
             boolean_lattice(3),
             build_pp_poset(3).without_bottom(),
+            # ids that are not a linear extension: d < b < a and d < c
+            FinitePoset("abcd", [(3, 1), (1, 0), (3, 2)]),
         ):
             layers = chains_by_size(poset)
             assert [len(layer) for layer in layers] == count_chains_by_size(poset)
-            for layer in layers[1:]:
-                assert len(set(layer)) == len(layer)
-                for chain in layer:
-                    assert all(
-                        poset.leq_index(chain[i], chain[i + 1])
-                        for i in range(len(chain) - 1)
+            # every totally ordered subset of ids, from bottom to top; in a
+            # chain the larger element has the larger down set
+            brute: list[list[tuple[int, ...]]] = []
+            for size in range(len(poset) + 1):
+                layer = sorted(
+                    tuple(sorted(ids, key=lambda i: poset.downset_mask(i).bit_count()))
+                    for ids in combinations(range(len(poset)), size)
+                    if all(
+                        poset.leq_index(i, j) or poset.leq_index(j, i)
+                        for i, j in combinations(ids, 2)
                     )
+                )
+                if layer:
+                    brute.append(layer)
+            assert layers == brute
 
     def test_boolean_proper_part_is_a_circle(self):
         proper = boolean_lattice(3).without_bottom().without_top()
