@@ -27,7 +27,7 @@ import io
 import json
 import os
 import sys
-from itertools import permutations
+from itertools import pairwise, permutations
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -63,12 +63,16 @@ from .kdivisible import (
     is_prime_chain,
     ppk_action_ids,
 )
-from .nc import NoncrossingPartition, Permutation, class_representatives
+from .nc import (
+    NoncrossingPartition,
+    Permutation,
+    class_representatives,
+    enumerate_noncrossing,
+)
 from .numbers import catalan, chain_count, fuss_catalan, stirling2, whitney_first_kind
 from .objects import (
     ParkingElement,
     Tree,
-    count_elements,
     enumerate_elements,
     enumerate_trees,
 )
@@ -160,19 +164,34 @@ def _cycle_type_label(perm: Permutation) -> str:
 # ----- convert -----
 
 
+def _require_int_leaves(data: object) -> None:
+    """Raise ValueError unless every leaf of parsed JSON is an integer;
+    booleans and floats are not."""
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif type(item) is not int:
+            raise ValueError(f"{json.dumps(item)} is not an integer")
+
+
 def _parse_element(kind: str, text: str) -> ParkingElement:
     try:
         if kind == "word":
             stripped = text.strip()
             if stripped and all(c.isdigit() for c in stripped):
                 return ParkingElement.from_word([int(c) for c in stripped])
-            data = json.loads(stripped)
-            return ParkingElement.from_word([int(x) for x in data])
         data = json.loads(text)
+        _require_int_leaves(data)
+        if kind == "word":
+            return ParkingElement.from_word(data)
         if kind == "tree":
             return ParkingElement.from_tree(Tree.from_json(data))
         if kind == "pair":
-            sigma = Permutation([int(x) for x in data["sigma"]])
+            sigma = Permutation(data["sigma"])
             partition = NoncrossingPartition(sigma.n, data["partition"])
             return ParkingElement(partition, sigma)
         if kind == "triple":
@@ -450,35 +469,42 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(poset.to_dot(_chain_label), args.output)
         return 0
-    ranks = poset.whitney_second()
-    primes = sum(1 for c in poset.elements if is_prime_chain(c))
-    summary = {
-        "n": n,
-        "k": k,
-        "elements": len(poset),
-        "elements_closed": size,
-        "rank_sizes": ranks,
-        "rank_sizes_closed": [chain_count(n, k, l) for l in range(n)],
-        "mobius": poset.mobius_hat(),
-        "mobius_closed": (-1) ** n * (k * n - 1) ** (n - 1),
-        "primes": primes,
-        "primes_closed": (k * n - 1) ** (n - 1),
-        "nc_chains": fuss_catalan(n, k + 1),
-    }
+    summary = _kdivisible_summary(n, k, poset)
     if args.format == "csv":
         rows = [
-            (n, k, l, ranks[l], chain_count(n, k, l)) for l in range(len(ranks))
+            (n, k, l, count, chain_count(n, k, l))
+            for l, count in enumerate(summary["rank_sizes"])
         ]
         _emit(_csv_text(("n", "k", "l", "count", "closed"), rows), args.output)
     else:
         _emit(_json_text(summary), args.output)
-    ok = (
-        summary["elements"] == summary["elements_closed"]
-        and summary["rank_sizes"] == summary["rank_sizes_closed"]
-        and summary["mobius"] == summary["mobius_closed"]
-        and summary["primes"] == summary["primes_closed"]
-    )
-    return 0 if ok else 1
+    return 1 if _kdivisible_mismatch(summary) else 0
+
+
+def _kdivisible_summary(n: int, k: int, poset: FinitePoset) -> dict:
+    """The k-divisible poset's counts, each next to its closed form."""
+    return {
+        "n": n,
+        "k": k,
+        "elements": len(poset),
+        "elements_closed": (k * n + 1) ** (n - 1),
+        "rank_sizes": poset.whitney_second(),
+        "rank_sizes_closed": [chain_count(n, k, l) for l in range(n)],
+        "mobius": poset.mobius_hat(),
+        "mobius_closed": (-1) ** n * (k * n - 1) ** (n - 1),
+        "primes": sum(1 for c in poset.elements if is_prime_chain(c)),
+        "primes_closed": (k * n - 1) ** (n - 1),
+        "nc_chains": fuss_catalan(n, k + 1),
+    }
+
+
+def _kdivisible_mismatch(summary: dict) -> str | None:
+    """The first count of a `_kdivisible_summary` that differs from its
+    closed form, or None."""
+    for key in ("elements", "rank_sizes", "mobius", "primes"):
+        if summary[key] != summary[f"{key}_closed"]:
+            return key
+    return None
 
 
 # ----- verify-all -----
@@ -489,10 +515,20 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
 # both run it.
 
 
+def _count_pairs(n: int) -> int:
+    """The pairs (pi, sigma) of a noncrossing partition of [n] and a
+    permutation of [n] increasing on every block of pi, one by one."""
+    pairs = 0
+    for pi in enumerate_noncrossing(n):
+        steps = [(a - 1, b - 1) for block in pi.blocks for a, b in pairwise(block)]
+        pairs += sum(all(s[a] < s[b] for a, b in steps) for s in permutations(range(n)))
+    return pairs
+
+
 def _verify_cardinality(nmax: int, kmax: int) -> tuple[bool, str]:
     for n in range(2, nmax + 1):
         expected = (n + 1) ** (n - 1)
-        pairs = count_elements(n)
+        pairs = _count_pairs(n)
         words = sum(1 for _ in enumerate_parking_words(n))
         trees = sum(1 for _ in enumerate_trees(n))
         triples = len({e.to_triple() for e in enumerate_elements(n)})
@@ -696,11 +732,10 @@ def _verify_kdivisible(nmax: int, kmax: int) -> tuple[bool, str]:
             if size > 2500:
                 continue
             poset = build_ppk_poset(n, k)
-            if len(poset) != size:
-                return False, f"(n,k)=({n},{k}): {len(poset)} elements"
-            closed = [chain_count(n, k, l) for l in range(n)]
-            if poset.whitney_second() != closed:
-                return False, f"(n,k)=({n},{k}): rank sizes"
+            summary = _kdivisible_summary(n, k, poset)
+            key = _kdivisible_mismatch(summary)
+            if key:
+                return False, f"(n,k)=({n},{k}): {key} {summary[key]}"
             if (n, k) == (3, 2):
                 betti = reduced_betti(poset.without_bottom())
                 if betti != (0, 0, 25):
@@ -805,9 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, n_required: bool = True) -> None:
-        if n_required:
-            p.add_argument("--n", type=int, required=True, help="ground set size")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, required=True, help="ground set size")
         p.add_argument("--output", metavar="PATH", help="write to a file")
         p.add_argument(
             "--long", action="store_true", help="unlock larger, slower sizes"

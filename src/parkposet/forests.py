@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .objects import ParkingElement
@@ -79,28 +79,25 @@ def _component_labels(n: int, edges: Iterable[Edge]) -> list[int]:
     return label[1:]
 
 
-def _is_forest(n: int, edges: Collection[Edge]) -> bool:
-    """Acyclic iff every edge joins two components, which leaves
-    n - len(edges) of them."""
-    return len(set(_component_labels(n, edges))) == n - len(edges)
-
-
 def is_forest_face(n: int, edges: Iterable[Iterable[int]]) -> bool:
     """Membership test for the noncrossing alternating forest complex.
 
     Vertices outside [1, n] and loops raise ValueError; otherwise the edge
-    set is accepted iff it is pairwise compatible and acyclic.  (Up to the
-    sizes exercised here the pairwise condition already forces acyclicity,
-    but the definition asks for a forest, so the check stays.)
+    set is accepted iff it is pairwise compatible and acyclic.  The first
+    forces the second: a shortest cycle of noncrossing chords is the convex
+    polygon on its sorted vertices v1 < v2 < ... < vm, so it holds the pair
+    (v1, v2), (v2, v3), which is not compatible.  `enumerate_forest_faces`
+    tests compatibility alone, and this test is its second route.
     """
     face = _normalize(n, edges)
     pairwise = all(edges_compatible(e, f) for e, f in combinations(face, 2))
-    return pairwise and _is_forest(n, face)
+    # acyclic iff every edge joins two components, leaving n - |face|
+    return pairwise and len(set(_component_labels(n, face))) == n - len(face)
 
 
 def enumerate_forest_faces(n: int) -> list[frozenset[Edge]]:
     """All faces of the complex, the empty face included, by backtracking
-    over edges in lexicographic order."""
+    over compatible edges in lexicographic order (see `is_forest_face`)."""
     if n < 1:
         raise ValueError("n must be positive")
     all_edges = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
@@ -110,11 +107,7 @@ def enumerate_forest_faces(n: int) -> list[frozenset[Edge]]:
         faces.append(frozenset(face))
         for idx, e in enumerate(candidates):
             face.append(e)
-            if _is_forest(n, face):
-                extend(
-                    face,
-                    [f for f in candidates[idx + 1 :] if edges_compatible(e, f)],
-                )
+            extend(face, [f for f in candidates[idx + 1 :] if edges_compatible(e, f)])
             face.pop()
 
     extend([], all_edges)

@@ -19,7 +19,7 @@ can play them against each other.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .nc import (
@@ -568,19 +568,8 @@ def enumerate_trees(n: int, k: int = 1) -> Iterator[Tree]:
             taken = set(label)
             rest = tuple(x for x in pool if x not in taken)
             for pieces in split(rest, k * len(label)):
-                for kids in _product_trees([grow(p) for p in pieces]):
+                for kids in product(*(grow(p) for p in pieces)):
                     yield Tree(label, kids)
-
-    def _product_trees(generators):
-        pools = [list(g) for g in generators]
-        def rec(i):
-            if i == len(pools):
-                yield ()
-                return
-            for head in pools[i]:
-                for tail in rec(i + 1):
-                    yield (head,) + tail
-        yield from rec(0)
 
     if n == 0:
         yield Tree.leaf()

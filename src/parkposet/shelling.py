@@ -21,7 +21,10 @@ walk over the sorted lists already in the chain order, and the shelling
 check reads each chain as it comes: a chain passes when, between the
 positions where an earlier swap exists, it takes the first cover below
 the next such position at every step.  Joins are read from
-``build_pp_poset_hat(n)``, whose id m is the adjoined top.
+``join_index`` of the poset checked, with None for the adjoined top:
+the bounded poset is a lattice, so two elements with a common upper
+bound in the parking poset have a least one there, and its join in the
+bounded poset is the top exactly when they have none.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -332,15 +335,10 @@ class ForkReport:
         return not self.violations
 
 
-def _verify_fork(
-    n: int,
-    poset: FinitePoset,
-    order: list[list[int]],
-    lattice: FinitePoset,
-) -> ForkReport:
+def _verify_fork(n: int, poset: FinitePoset, order: list[list[int]]) -> ForkReport:
     """The fork check of ``verify_fork_lemma`` on a poset whose covers
-    are sorted by ``order``; joins are read from ``lattice``, a bounded
-    lattice whose ids below ``len(poset)`` are those of ``poset``."""
+    are sorted by ``order``; a join that ``poset.join_index`` leaves as
+    None is the adjoined top, whose down-set mask -1 holds every id."""
     elements = poset.elements
     report = ForkReport(n=n)
     for x, ups in enumerate(order):
@@ -353,8 +351,9 @@ def _verify_fork(
                     report.replaced_middle += k
                     continue
                 for yp in ups[:k]:
-                    top = lattice.join_index(yp, z)
-                    if any(lattice.leq_index(zp, top) for zp in order[y][:h]):
+                    top = poset.join_index(yp, z)
+                    below = -1 if top is None else poset.downset_mask(top)
+                    if any(below >> zp & 1 for zp in order[y][:h]):
                         report.raised_top += 1
                     else:
                         report.violations.append(
@@ -377,9 +376,7 @@ def verify_fork_lemma(n: int) -> ForkReport:
     Returns a report counting how often each branch applies; both
     branches are exercised for n >= 4.
     """
-    return _verify_fork(
-        n, build_pp_poset(n), _parking_cover_order(n), build_pp_poset_hat(n)
-    )
+    return _verify_fork(n, build_pp_poset(n), _parking_cover_order(n))
 
 
 # ----- structural properties of the statistics -----
@@ -404,7 +401,6 @@ def check_equal_code_join(n: int) -> int:
     """Two elements with equal codes have a proper join with that same
     code; returns the number of pairs checked."""
     poset = build_pp_poset(n)
-    hat = build_pp_poset_hat(n)
     elements = poset.elements
     codes = _parking_codes(n)
     by_code: dict[tuple, list[int]] = {}
@@ -417,8 +413,8 @@ def check_equal_code_join(n: int) -> int:
                 if a == b:
                     continue
                 checked += 1
-                join = hat.join_index(a, b)
-                if join == len(elements) or codes[join] != code:
+                join = poset.join_index(a, b)
+                if join is None or codes[join] != code:
                     a, b = elements[a], elements[b]
                     raise ValueError(f"join of {a} and {b} breaks the code")
     return checked
@@ -442,19 +438,33 @@ def check_zero_prefix_join(n: int) -> int:
     """A proper join has zero prefix the minimum of the two; returns the
     number of pairs with a proper join."""
     poset = build_pp_poset(n)
-    hat = build_pp_poset_hat(n)
     elements = poset.elements
     prefix = [zero_prefix_length(code) for code in _parking_codes(n)]
     checked = 0
     for i, j in combinations(range(len(elements)), 2):
-        join = hat.join_index(i, j)
-        if join == len(elements):
+        join = poset.join_index(i, j)
+        if join is None:
             continue
         checked += 1
         if prefix[join] != min(prefix[i], prefix[j]):
             a, b = elements[i], elements[j]
             raise ValueError(f"zero prefix of join of {a} and {b} is off")
     return checked
+
+
+def _cover_pairs(
+    n: int, same_block: bool
+) -> Iterator[tuple[int, int, int, int | None]]:
+    """Each x of ``build_pp_poset(n)`` with two of its upper covers s and
+    t that split the same block of x, or different blocks, as
+    ``same_block`` asks, and the join of s and t (None for the top)."""
+    poset = build_pp_poset(n)
+    elements = poset.elements
+    for x, ups in enumerate(poset.up):
+        split = {s: split_block(elements[x], elements[s]) for s in ups}
+        for s, t in combinations(ups, 2):
+            if (split[s] == split[t]) == same_block:
+                yield x, s, t, poset.join_index(s, t)
 
 
 def check_split_diamond(n: int) -> int:
@@ -464,29 +474,23 @@ def check_split_diamond(n: int) -> int:
     code jumps across the diamond match crosswise.  Returns the number
     of diamonds checked."""
     poset = build_pp_poset(n)
-    hat = build_pp_poset_hat(n)
     elements = poset.elements
     codes = _parking_codes(n)
     checked = 0
-    for x, ups in enumerate(poset.up):
+    for x, s, t, j in _cover_pairs(n, same_block=False):
         base = elements[x]
-        split = {s: split_block(base, elements[s]) for s in ups}
-        for s, t in combinations(ups, 2):
-            if split[s] == split[t]:
-                continue
-            checked += 1
-            j = hat.join_index(s, t)
-            if j == len(elements) or elements[j].rank != base.rank + 2:
-                raise ValueError(f"diamond join fails over {base}")
-            diamond = 1 << x | 1 << s | 1 << t | 1 << j
-            if poset.upset_mask(x) & poset.downset_mask(j) != diamond:
-                raise ValueError(f"diamond interval fails over {base}")
-            cx, cs, ct, cj = codes[x], codes[s], codes[t], codes[j]
-            ja, jb = _code_jump(cx, cs), _code_jump(cx, ct)
-            if ja != _code_jump(ct, cj) or jb != _code_jump(cs, cj):
-                raise ValueError(f"diamond code jumps fail over {base}")
-            if ja == jb and ja != 0:
-                raise ValueError(f"equal nonzero jumps over {base}")
+        checked += 1
+        if j is None or elements[j].rank != base.rank + 2:
+            raise ValueError(f"diamond join fails over {base}")
+        diamond = 1 << x | 1 << s | 1 << t | 1 << j
+        if poset.upset_mask(x) & poset.downset_mask(j) != diamond:
+            raise ValueError(f"diamond interval fails over {base}")
+        cx, cs, ct, cj = codes[x], codes[s], codes[t], codes[j]
+        ja, jb = _code_jump(cx, cs), _code_jump(cx, ct)
+        if ja != _code_jump(ct, cj) or jb != _code_jump(cs, cj):
+            raise ValueError(f"diamond code jumps fail over {base}")
+        if ja == jb and ja != 0:
+            raise ValueError(f"equal nonzero jumps over {base}")
     return checked
 
 
@@ -497,31 +501,24 @@ def check_same_block_jump_bound(n: int) -> int:
     the artificial top are skipped, since the jump is not defined
     there.  Returns the number of cover pairs checked."""
     poset = build_pp_poset(n)
-    hat = build_pp_poset_hat(n)
     elements = poset.elements
     codes = _parking_codes(n)
     checked = 0
-    for x, ups in enumerate(poset.up):
-        base = elements[x]
-        split = {s: split_block(base, elements[s]) for s in ups}
-        for s, t in combinations(ups, 2):
-            if split[s] != split[t]:
-                continue
-            join = hat.join_index(s, t)
-            if join == len(elements):
-                continue
-            bound = max(_code_jump(codes[x], codes[s]), _code_jump(codes[x], codes[t]))
-            inside = poset.upset_mask(x) & poset.downset_mask(join)
-            for u in _bits(inside):
-                for v in poset.up[u]:
-                    if not inside >> v & 1:
-                        continue
-                    checked += 1
-                    if _code_jump(codes[u], codes[v]) > bound:
-                        raise ValueError(
-                            f"jump bound fails over {base} with "
-                            f"{elements[s]}, {elements[t]}"
-                        )
+    for x, s, t, join in _cover_pairs(n, same_block=True):
+        if join is None:
+            continue
+        bound = max(_code_jump(codes[x], codes[s]), _code_jump(codes[x], codes[t]))
+        inside = poset.upset_mask(x) & poset.downset_mask(join)
+        for u in _bits(inside):
+            for v in poset.up[u]:
+                if not inside >> v & 1:
+                    continue
+                checked += 1
+                if _code_jump(codes[u], codes[v]) > bound:
+                    raise ValueError(
+                        f"jump bound fails over {elements[x]} with "
+                        f"{elements[s]}, {elements[t]}"
+                    )
     return checked
 
 
@@ -602,7 +599,7 @@ def verify_nc_fork_lemma(n: int) -> ForkReport:
     poset = build_nc_poset(n)
     labels = _nc_labels(poset)
     order = _cover_order(poset, lambda i, j: labels[(i, j)])
-    return _verify_fork(n, poset, order, poset)
+    return _verify_fork(n, poset, order)
 
 
 # ----- failure of the recursive atom ordering criterion -----

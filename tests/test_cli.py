@@ -4,8 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,11 @@ from parkposet import cli, forests, kdivisible
 from parkposet.cli import main
 from parkposet.enumeration import enumerate_parking_words, word_action
 from parkposet.homology import signed_prime_character
-from parkposet.nc import class_representatives
+from parkposet.nc import (
+    NoncrossingPartition,
+    class_representatives,
+    enumerate_noncrossing,
+)
 from parkposet.numbers import catalan
 from parkposet.objects import ParkingElement
 from parkposet.parking_order import (
@@ -142,6 +148,14 @@ class TestConvert:
             ("pair", "{"),
             ("pair", "{}"),
             ("triple", '{"partition": [[1, 3], [2, 4]], "labels": [[1], [2]]}'),
+            # every leaf must be an integer: no float or boolean is coerced
+            ("word", "[1.5, 1]"),
+            ("word", "[true, 1]"),
+            ("word", '{"1": 1}'),
+            ("pair", '{"sigma": [1.9, 2], "partition": [[1], [2]]}'),
+            ("pair", '{"sigma": [1, 2], "partition": [[true, 2]]}'),
+            ("tree", '{"label": [true], "children": [{"label": [], "children": []}]}'),
+            ("triple", '{"partition": [[1, 2]], "labels": [[true, 2]]}'),
         ],
     )
     def test_malformed_input_is_an_argument_error(self, capsys, source, text):
@@ -598,6 +612,32 @@ class TestVerifyAll:
                 swapped[i], swapped[j] = fid[j], fid[i]
                 assert not cli._maps_covers_onto_covers(comb, faces, swapped)
 
+    def test_cardinality_counts_the_pairs(self, monkeypatch):
+        dropped = []
+
+        def short(n):
+            partitions = list(enumerate_noncrossing(n))
+            dropped.append(partitions.pop())
+            return partitions
+
+        monkeypatch.setattr(cli, "enumerate_noncrossing", short)
+        ok, detail = cli.VERIFY_CHECKS["cardinality"](3, 1)
+        # n = 2 loses the one pair over its last partition, the single
+        # block [1, 2], and the check stops there
+        assert dropped == [NoncrossingPartition(2, [[1, 2]])]
+        assert (ok, detail) == (
+            False,
+            "n=2: pairs 2, words 3, trees 3, triples 3, expected 3",
+        )
+
+    def test_kdivisible_criterion_checks_every_closed_form(self, monkeypatch):
+        assert cli.VERIFY_CHECKS["k-divisible"](3, 2)[0]
+        monkeypatch.setattr(cli, "is_prime_chain", lambda chain: False)
+        assert cli.VERIFY_CHECKS["k-divisible"](3, 2) == (
+            False,
+            "(n,k)=(2,1): primes 0",
+        )
+
     def test_bounds(self, capsys):
         assert run(capsys, "verify-all", "--n", "9")[0] == 2
         assert run(capsys, "verify-all", "--n", "3", "--k", "7")[0] == 2
@@ -631,3 +671,25 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+def readme_commands():
+    """The `parkposet` lines of the sh block under "## Command line" in
+    README.md, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("parkposet ")
+    ]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert (tmp_path / "parking3.dot").read_text().startswith("digraph")

@@ -101,6 +101,28 @@ class TestMembership:
         face_set = set(enumerate_forest_faces(5))
         assert is_forest_face(5, edges) == (frozenset(edges) in face_set)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumeration_is_the_membership_filter(self, n):
+        edges = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        subsets = (
+            frozenset(c) for r in range(len(edges) + 1) for c in combinations(edges, r)
+        )
+        faces = enumerate_forest_faces(n)
+        assert len(set(faces)) == len(faces)
+        assert set(faces) == {s for s in subsets if is_forest_face(n, s)}
+
+    def test_enumeration_runs_no_acyclicity_test(self, monkeypatch):
+        """Compatibility alone forces acyclicity, so the listing never asks
+        for the forest test that `is_forest_face` keeps."""
+
+        def refuse(n, edges):
+            raise AssertionError("acyclicity tested")
+
+        monkeypatch.setattr(forests, "_component_labels", refuse)
+        assert len(enumerate_forest_faces(6)) == 394
+        with pytest.raises(AssertionError, match="acyclicity tested"):
+            is_forest_face(3, [(1, 3)])
+
 
 class TestFaceNumbers:
     def test_totals_are_little_schroeder(self):

@@ -457,6 +457,7 @@ def test_join_meet_against_poset_oracle(n):
                 assert expected is TOP
             else:
                 assert j == expected
+            assert poset.join(a, b) == (None if j is TOP else j)
             assert pp_meet(a, b) == poset.meet(a, b)
 
 
@@ -465,7 +466,9 @@ def test_join_against_poset_oracle_n4():
     hat = build_pp_poset_hat(4)
     for a in poset.elements:
         for b in poset.elements:
-            assert pp_join(a, b) == hat.join(a, b)
+            j = pp_join(a, b)
+            assert j == hat.join(a, b)
+            assert poset.join(a, b) == (None if j is TOP else j)
             assert pp_meet(a, b) == poset.meet(a, b)
 
 

@@ -355,6 +355,22 @@ def test_checks_join_on_ids(monkeypatch):
         assert check(4) == count
 
 
+def test_checks_read_joins_from_the_parking_poset(monkeypatch):
+    # join_index of build_pp_poset(n) gives every proper join, and None
+    # where the bounded poset's join is its top, so no check but the
+    # chain walk builds the bounded poset
+    def refuse(n):
+        raise AssertionError("bounded poset built")
+
+    monkeypatch.setattr(shelling, "build_pp_poset_hat", refuse)
+    rep = verify_fork_lemma(4)
+    assert (rep.checked, rep.replaced_middle, rep.raised_top) == (3798, 3122, 676)
+    for check, count in SUPPORT_COUNTS_4:
+        assert check(4) == count
+    with pytest.raises(AssertionError, match="bounded poset built"):
+        verify_shelling(3)
+
+
 @pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
 def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
     original = shelling.permutation_code
@@ -478,6 +494,16 @@ def test_equal_code_join():
     assert check_equal_code_join(3) == 36
     assert check_equal_code_join(4) == 734
     assert check_equal_code_join(5) == 18500
+
+
+def test_equal_code_join_needs_a_proper_join(monkeypatch):
+    # with one code for every element, two maximal elements share a code
+    # but have no common upper bound: join_index gives None, which fails
+    monkeypatch.setattr(
+        shelling, "_parking_codes", lambda n: [(0,) * n] * len(build_pp_poset(n))
+    )
+    with pytest.raises(ValueError, match="breaks the code"):
+        check_equal_code_join(3)
 
 
 def test_zero_prefix_matches_blocks():
