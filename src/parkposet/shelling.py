@@ -20,11 +20,14 @@ lemmas run one loop.  The maximal chains come out of one depth-first
 walk over the sorted lists already in the chain order, and the shelling
 check reads each chain as it comes: a chain passes when, between the
 positions where an earlier swap exists, it takes the first cover below
-the next such position at every step.  Joins are read from
-``join_index`` of the poset checked, with None for the adjoined top:
-the bounded poset is a lattice, so two elements with a common upper
-bound in the parking poset have a least one there, and its join in the
-bounded poset is the top exactly when they have none.
+the next such position at every step.  No bounded poset is built: the
+walk runs on ``build_pp_poset(n)`` with a sentinel top id m as the one
+cover of every maximal element (``_hat_cover_order``), and -1 as its
+down-set mask.  Joins are read from ``join_index`` of the poset
+checked, with None for the adjoined top: the bounded poset is a
+lattice, so two elements with a common upper bound in the parking
+poset have a least one there, and its join in the bounded poset is the
+top exactly when they have none.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -47,7 +50,6 @@ from .objects import ParkingElement
 from .parking_order import (
     build_nc_poset,
     build_pp_poset,
-    build_pp_poset_hat,
     element_from_block_labels,
     lower_covers,
     partition_ids,
@@ -186,7 +188,7 @@ def _parking_cover_order(n: int) -> list[list[int]]:
 
 
 def _hat_cover_order(n: int) -> list[list[int]]:
-    """The cover order on the ids of ``build_pp_poset_hat(n)``: that of
+    """The cover order of the bounded parking poset on ids: that of
     ``build_pp_poset(n)``, with the sentinel top, id m, the one cover of
     every maximal element."""
     order = _parking_cover_order(n)
@@ -194,10 +196,10 @@ def _hat_cover_order(n: int) -> list[list[int]]:
     return [ups or [top] for ups in order] + [[]]
 
 
-def _first_below(poset: FinitePoset, order: list[list[int]], x: int, v: int) -> int:
+def _first_below(order: list[list[int]], x: int, mask: int) -> int:
     """The first cover of x, in the cover order at x, that lies at or
-    below v; x < v is required."""
-    mask = poset.downset_mask(v)
+    below v, given the down-set mask of v (-1 for the top); x < v is
+    required."""
     return next(w for w in order[x] if mask >> w & 1)
 
 
@@ -240,8 +242,9 @@ def _chains(
 
 
 def sorted_maximal_chains(n: int) -> list[tuple[int, ...]]:
-    """Maximal chains of ``build_pp_poset_hat(n)``, as id tuples, sorted
-    by the lexicographic order induced by the cover order.
+    """Maximal chains of the bounded parking poset, as id tuples with
+    the top as id m, sorted by the lexicographic order induced by the
+    cover order.
 
     Two chains are compared at the first position where they differ;
     at that position both elements cover the same element, and the
@@ -254,15 +257,18 @@ def sorted_maximal_chains(n: int) -> list[tuple[int, ...]]:
 def _check_shelling(
     n: int, poset: FinitePoset, order: list[list[int]]
 ) -> ShellingReport:
-    """The check of `verify_shelling` on a bounded poset with bottom id 0
-    whose covers are ordered by ``order``."""
+    """The check of `verify_shelling` on a poset with bottom id 0, with
+    the sentinel top id ``len(poset)`` adjoined, whose covers, the top
+    among them, are ordered by ``order``."""
     memo: dict[int, int] = {}
-    size = len(poset)
+    top = len(poset)
 
     def first(x: int, v: int) -> int:
-        w = memo.get(x * size + v)
+        key = x * (top + 1) + v
+        w = memo.get(key)
         if w is None:
-            w = memo[x * size + v] = _first_below(poset, order, x, v)
+            mask = -1 if v == top else poset.downset_mask(v)
+            w = memo[key] = _first_below(order, x, mask)
         return w
 
     report = ShellingReport(n=n)
@@ -314,7 +320,7 @@ def verify_shelling(n: int) -> ShellingReport:
     top reduced Betti number of the proper part (Bjorner and Wachs,
     "Shellable nonpure complexes and posets").
     """
-    return _check_shelling(n, build_pp_poset_hat(n), _hat_cover_order(n))
+    return _check_shelling(n, build_pp_poset(n), _hat_cover_order(n))
 
 
 # ----- the fork lemma -----
@@ -347,7 +353,7 @@ def _verify_fork(n: int, poset: FinitePoset, order: list[list[int]]) -> ForkRepo
                 continue
             for h, z in enumerate(order[y]):
                 report.checked += k
-                if _first_below(poset, order, x, z) != y:
+                if _first_below(order, x, poset.downset_mask(z)) != y:
                     report.replaced_middle += k
                     continue
                 for yp in ups[:k]:
@@ -534,7 +540,7 @@ def check_minimal_jump_grows(n: int) -> int:
     for x, code in enumerate(codes):
         for y in order[x]:
             for z in order[y]:
-                if _first_below(poset, order, x, z) != y:
+                if _first_below(order, x, poset.downset_mask(z)) != y:
                     continue
                 checked += 1
                 if _code_jump(code, codes[y]) > _code_jump(codes[y], codes[z]):

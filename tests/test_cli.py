@@ -156,13 +156,19 @@ class TestConvert:
             ("pair", '{"sigma": [1, 2], "partition": [[true, 2]]}'),
             ("tree", '{"label": [true], "children": [{"label": [], "children": []}]}'),
             ("triple", '{"partition": [[1, 2]], "labels": [[true, 2]]}'),
+            # a word is a flat list of integers
+            ("word", "[[1]]"),
+            ("word", "-1"),
         ],
     )
     def test_malformed_input_is_an_argument_error(self, capsys, source, text):
-        code, _ = run(
-            capsys, "convert", "--from", source, "--to", "word", "--input", text
-        )
+        argv = ["convert", "--from", source, "--to", "word", "--input", text]
+        code = main(argv)
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith(f"error: bad {source} input: ")
+        if source == "word" and text in ("[[1]]", '{"1": 1}', "-1"):
+            assert err == "error: bad word input: a word is a list of integers\n"
 
     @pytest.mark.parametrize("source", ["triple", "pair"])
     def test_empty_block_is_an_argument_error(self, source):
@@ -301,6 +307,37 @@ class TestShelling:
             "tied cover keys above element 0"
         )
         assert entries["cover_fork"]["ok"] is True
+
+    def test_report_digest(self, capsys):
+        code, out = run(capsys, "shelling", "--n", "4")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "1410acfdaea808a9674db762e665f3981baced22fab5609cd9d26975a3202dde"
+        )
+
+    def test_broken_witness_fails_the_report_and_the_criterion(
+        self, capsys, monkeypatch
+    ):
+        def broken():
+            raise ValueError("y1 is not a parking element")
+
+        monkeypatch.setattr(cli, "recursive_atom_ordering_failure", broken)
+        code, out = run(capsys, "shelling", "--n", "2")
+        assert code == 1
+        regression = json.loads(out)["checks"][-1]
+        assert regression == {
+            "name": "recursive_atom_ordering_regression",
+            "n": 6,
+            "domain": 1,
+            "ok": False,
+            "counterexample": "y1 is not a parking element",
+        }
+        assert cli._run_verify_check(("shelling", 2, 1)) == (
+            "shelling",
+            False,
+            "regression witness broke: y1 is not a parking element",
+        )
 
 
 class TestHomology:
@@ -517,7 +554,8 @@ def test_character_path_moves_ids_only(capsys, monkeypatch):
         "2+1,-5,-5,yes\n"
         "3,1,1,yes\n",
     )
-    assert cli.VERIFY_CHECKS["characters"](4, 2) == (
+    assert cli._run_verify_check(("characters", 4, 2)) == (
+        "characters",
         True,
         "Lefschetz and fixed-point characters, n<=4, k<=2",
     )
@@ -547,6 +585,44 @@ def test_derived_dot_export_digest(capsys, argv):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == DERIVED_DOT_DIGESTS[argv]
+
+
+VERIFY_ALL_STDOUT = {
+    ("--n", "4", "--k", "2"): (
+        "[PASS] cardinality: (n+1)^(n-1) in four representations, n=2..4\n"
+        "[PASS] whitney-second: rank census matches l!*binom(n,l)*S2(n,l+1), n=2..4\n"
+        "[PASS] chain-formula: multichain census matches closed counts, n<=4, k<=2\n"
+        "[PASS] mobius-whitney-first: Whitney first kind and mobius match closed"
+        " forms, n=2..4\n"
+        "[PASS] shelling: shelling and support lemmas, n=2..4 (404 chains)\n"
+        "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
+        " (n-1)^(n-1), n=3..4\n"
+        "[PASS] characters: Lefschetz and fixed-point characters, n<=4, k<=2\n"
+        "[PASS] series: species equation, inverse, coefficients to order 6, k<=2\n"
+        "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
+        "[PASS] cluster: facet counts n<8, Whitney relation and top rank n<=4\n"
+        "[PASS] k-divisible: k-divisible counts, Edelman subposets, homology, k<=2\n"
+        "[PASS] permutahedron: right comb matches composition face poset, n=2..4\n"
+        "12/12 checks passed\n"
+    ),
+    ("--n", "5", "--k", "3", "--long"): (
+        "[PASS] cardinality: (n+1)^(n-1) in four representations, n=2..5\n"
+        "[PASS] whitney-second: rank census matches l!*binom(n,l)*S2(n,l+1), n=2..5\n"
+        "[PASS] chain-formula: multichain census matches closed counts, n<=4, k<=3\n"
+        "[PASS] mobius-whitney-first: Whitney first kind and mobius match closed"
+        " forms, n=2..5\n"
+        "[PASS] shelling: shelling and support lemmas, n=2..4 (404 chains)\n"
+        "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
+        " (n-1)^(n-1), n=3..5\n"
+        "[PASS] characters: Lefschetz and fixed-point characters, n<=4, k<=3\n"
+        "[PASS] series: species equation, inverse, coefficients to order 6, k<=3\n"
+        "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
+        "[PASS] cluster: facet counts n<8, Whitney relation and top rank n<=4\n"
+        "[PASS] k-divisible: k-divisible counts, Edelman subposets, homology, k<=3\n"
+        "[PASS] permutahedron: right comb matches composition face poset, n=2..4\n"
+        "12/12 checks passed\n"
+    ),
+}
 
 
 class TestVerifyAll:
@@ -586,7 +662,8 @@ class TestVerifyAll:
         assert sizes == [3, 12]
 
     def test_long_checks_betti_at_size_five(self):
-        assert cli.VERIFY_CHECKS["homology-betti"](5, 1) == (
+        assert cli._run_verify_check(("homology-betti", 5, 1)) == (
+            "homology-betti",
             True,
             "betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..5",
         )
@@ -621,7 +698,7 @@ class TestVerifyAll:
             return partitions
 
         monkeypatch.setattr(cli, "enumerate_noncrossing", short)
-        ok, detail = cli.VERIFY_CHECKS["cardinality"](3, 1)
+        _, ok, detail = cli._run_verify_check(("cardinality", 3, 1))
         # n = 2 loses the one pair over its last partition, the single
         # block [1, 2], and the check stops there
         assert dropped == [NoncrossingPartition(2, [[1, 2]])]
@@ -631,9 +708,10 @@ class TestVerifyAll:
         )
 
     def test_kdivisible_criterion_checks_every_closed_form(self, monkeypatch):
-        assert cli.VERIFY_CHECKS["k-divisible"](3, 2)[0]
+        assert cli._run_verify_check(("k-divisible", 3, 2))[1]
         monkeypatch.setattr(cli, "is_prime_chain", lambda chain: False)
-        assert cli.VERIFY_CHECKS["k-divisible"](3, 2) == (
+        assert cli._run_verify_check(("k-divisible", 3, 2)) == (
+            "k-divisible",
             False,
             "(n,k)=(2,1): primes 0",
         )
@@ -641,6 +719,14 @@ class TestVerifyAll:
     def test_bounds(self, capsys):
         assert run(capsys, "verify-all", "--n", "9")[0] == 2
         assert run(capsys, "verify-all", "--n", "3", "--k", "7")[0] == 2
+        for jobs in ("0", "-3"):
+            assert run(capsys, "verify-all", "--n", "2", "--jobs", jobs) == (2, "")
+
+    @pytest.mark.parametrize("argv", sorted(VERIFY_ALL_STDOUT))
+    def test_golden_stdout(self, capsys, argv):
+        # the caps show in the detail lines: with --n 5, six criteria
+        # still stop at n = 4
+        assert run(capsys, "verify-all", *argv) == (0, VERIFY_ALL_STDOUT[argv])
 
 
 class TestPlumbing:

@@ -3,6 +3,7 @@ condition, and the cover statistics supporting it."""
 
 import math
 import random
+import sys
 from functools import cmp_to_key
 
 import pytest
@@ -265,9 +266,12 @@ def shelling_by_grouping(poset, order):
     return chains, descent_sets, violations
 
 
-def assert_matches_grouping(n, poset, order):
-    chains, descent_sets, violations = shelling_by_grouping(poset, order)
-    report = _check_shelling(n, poset, order)
+def assert_matches_grouping(n, order):
+    # the oracle reads the bounded poset, the check the parking poset with
+    # the sentinel top id m
+    hat = build_pp_poset_hat(n)
+    chains, descent_sets, violations = shelling_by_grouping(hat, order)
+    report = _check_shelling(n, build_pp_poset(n), order)
     assert list(_chains(order)) == chains
     assert report.num_chains == len(chains)
     assert report.facets == descent_sets.count(tuple(range(1, n)))
@@ -278,7 +282,7 @@ def assert_matches_grouping(n, poset, order):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_shelling_matches_grouping(n):
-    assert assert_matches_grouping(n, build_pp_poset_hat(n), _hat_cover_order(n)).ok
+    assert assert_matches_grouping(n, _hat_cover_order(n)).ok
 
 
 @pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 0)])
@@ -286,7 +290,7 @@ def test_shelling_matches_grouping_on_random_orders(n, seed):
     # any injective cover order gives a chain order; most are no shelling
     rng = random.Random(seed)
     order = [rng.sample(ups, len(ups)) for ups in _hat_cover_order(n)]
-    report = assert_matches_grouping(n, build_pp_poset_hat(n), order)
+    report = assert_matches_grouping(n, order)
     assert not report.ok
 
 
@@ -357,18 +361,25 @@ def test_checks_join_on_ids(monkeypatch):
 
 def test_checks_read_joins_from_the_parking_poset(monkeypatch):
     # join_index of build_pp_poset(n) gives every proper join, and None
-    # where the bounded poset's join is its top, so no check but the
-    # chain walk builds the bounded poset
+    # where the bounded poset's join is its top; the chain walk reads the
+    # parking poset with a sentinel top.  So no check builds the bounded
+    # poset, through any binding of its builder.
+    original = parking_order.build_pp_poset_hat
+
     def refuse(n):
         raise AssertionError("bounded poset built")
 
-    monkeypatch.setattr(shelling, "build_pp_poset_hat", refuse)
+    modules = [m for name, m in sys.modules.items() if name.startswith("parkposet")]
+    for module in modules:
+        if getattr(module, "build_pp_poset_hat", None) is original:
+            monkeypatch.setattr(module, "build_pp_poset_hat", refuse)
     rep = verify_fork_lemma(4)
     assert (rep.checked, rep.replaced_middle, rep.raised_top) == (3798, 3122, 676)
     for check, count in SUPPORT_COUNTS_4:
         assert check(4) == count
-    with pytest.raises(AssertionError, match="bounded poset built"):
-        verify_shelling(3)
+    report = verify_shelling(3)
+    assert (report.ok, report.num_chains, report.facets) == (True, 18, 4)
+    assert len(sorted_maximal_chains(3)) == 18
 
 
 @pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
