@@ -31,7 +31,6 @@ the parking function poset.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -114,21 +113,12 @@ def enumerate_forest_faces(n: int) -> list[frozenset[Edge]]:
     return faces
 
 
-@lru_cache(maxsize=1)
-def _face_listing(n: int) -> tuple[frozenset[Edge], ...]:
-    """enumerate_forest_faces(n), kept for the face counts and the cluster
-    poset, which one command asks for in a row.  It holds one n at a time
-    and the sweeps over n do not read it, so no listing is held while
-    another is enumerated."""
-    return tuple(enumerate_forest_faces(n))
-
-
 def face_counts_by_size(n: int) -> list[int]:
     """Number of faces with s edges for s = 0 .. n - 1; these match the
     unsigned Whitney numbers of the first kind of the noncrossing
     partition lattice on [n]."""
     counts = [0] * n
-    for face in _face_listing(n):
+    for face in enumerate_forest_faces(n):
         counts[len(face)] += 1
     return counts
 
@@ -176,10 +166,10 @@ def face_poset(faces: Iterable[frozenset[Edge]]) -> FinitePoset:
 # ----- cluster parking functions -----
 
 
-def _cluster_ids(n: int) -> tuple[tuple[frozenset[Edge], ...], list[tuple[int, int]]]:
+def _cluster_ids(n: int) -> tuple[list[frozenset[Edge]], list[tuple[int, int]]]:
     """The faces of the complex, and the pairs of cluster_elements as
     (face index, build_pp_poset(n) id), matched on NC_n ids."""
-    faces = _face_listing(n)
+    faces = enumerate_forest_faces(n)
     nc, pid = build_nc_poset(n), partition_ids(n)
     by_partition = defaultdict(list)
     for f, face in enumerate(faces):

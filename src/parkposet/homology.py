@@ -6,10 +6,11 @@ time: a chain grows by an id strictly above its top, read from the up
 masks.  This module computes the reduced rational Betti numbers with
 exact arithmetic: each boundary rank is the rank of the coboundary, its
 transpose, from fraction-free sparse elimination over Python integers,
-taken from the smallest chain size up with clearing between degrees.  Fraction-free elimination is exact because each step
-replaces a row by an integer combination a*row - b*pivot with a nonzero,
-which keeps the row space over Q.  Clearing is exact because each row it
-leaves out lies in the span of the rows that stay, so no rank changes.
+taken from the smallest chain size up with clearing between degrees.
+Fraction-free elimination is exact because each step replaces a row by
+an integer combination a*row - b*pivot with a nonzero, which keeps the
+row space over Q.  Clearing is exact because each row it leaves out
+lies in the span of the rows that stay, so no rank changes.
 Working upward, the rows of a coboundary that reduce to zero number
 exactly the Betti number of its smaller chains, so for a homology
 concentrated in the top degree every row of the largest matrix, the top
@@ -235,6 +236,12 @@ def lefschetz_number(poset: FinitePoset, image: Sequence[int]) -> int:
     return -sum(poset._mobius_ids([g == i for i, g in enumerate(image)]))
 
 
+def top_degree_character(n: int, poset: FinitePoset, image: Sequence[int]) -> int:
+    """(-1)^n times the Lefschetz number: the character of the id permutation
+    `image` on the proper part's homology when it is concentrated in degree n - 2."""
+    return (-1) ** (n % 2) * lefschetz_number(poset, image)
+
+
 def top_homology_character(n: int, perm: Permutation) -> int:
     """Character value of a permutation on the reduced homology of the
     proper part of the parking function poset, in its top degree n - 2.
@@ -242,8 +249,7 @@ def top_homology_character(n: int, perm: Permutation) -> int:
     Computed by the Hopf trace formula on the ids of build_pp_poset(n),
     which permute as pp_action_ids says; no closed formula is consulted.
     """
-    sign = -1 if (n - 2) % 2 else 1
-    return sign * lefschetz_number(build_pp_poset(n), pp_action_ids(n, perm))
+    return top_degree_character(n, build_pp_poset(n), pp_action_ids(n, perm))
 
 
 def signed_prime_character(n: int, k: int, perm: Permutation) -> int:

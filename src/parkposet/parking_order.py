@@ -23,7 +23,8 @@ partition on which the two elements descend alike (pp_meet).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .nc import NoncrossingPartition, Permutation, SetPartition, noncrossing_closure
@@ -331,31 +332,36 @@ MAX_POSET_N = 6
 
 
 @lru_cache(maxsize=None)
-def _parking_listing(n: int) -> tuple[tuple[ParkingElement, ...], tuple[int, ...]]:
-    """The elements of enumerate_elements(n) sorted by (rank, word), and
-    the position in that order of each element as enumerated: one
-    enumeration serves build_pp_poset and enumeration_ids."""
+def _parking_listing(n: int) -> tuple[tuple, tuple, tuple, dict]:
+    """The elements of enumerate_elements(n) sorted by (rank, word), the
+    position in that order of each element as enumerated, the NC_n id of
+    each sorted element's partition, and the id of each parking word in
+    id order: one enumeration serves build_pp_poset, enumeration_ids,
+    partition_ids and pp_action_ids.  enumerate_elements runs partition
+    by partition, so each partition is looked up once for its run."""
     if n > MAX_POSET_N:
         raise ValueError(f"build_pp_poset is guarded to n <= {MAX_POSET_N}")
     listing = list(enumerate_elements(n))
+    index = build_nc_poset(n).index
+    part = []
+    for partition, run in groupby(listing, key=attrgetter("partition")):
+        part += [index[partition]] * sum(1 for _ in run)
     order = sorted(range(len(listing)), key=lambda i: listing[i].sort_key)
-    ids = [0] * len(order)
-    for j, i in enumerate(order):
-        ids[i] = j
-    return tuple(map(listing.__getitem__, order)), tuple(ids)
+    elements = tuple(map(listing.__getitem__, order))
+    words = {e.word: i for i, e in enumerate(elements)}
+    ids = tuple(words[e.word] for e in listing)
+    return elements, ids, tuple(map(part.__getitem__, order)), words
 
 
 @lru_cache(maxsize=None)
 def build_pp_poset(n: int) -> FinitePoset:
     """The parking poset on [n], elements sorted by (rank, word), with the
     NC_n lower covers of each partition lifted by descent on the word."""
-    elements = _parking_listing(n)[0]
+    elements, _, parts, by_word = _parking_listing(n)
     nc = build_nc_poset(n)
     block_min = [_block_minima(q) for q in nc.elements]
-    by_word = {e.word: i for i, e in enumerate(elements)}
     covers = []
-    for i, (elem, part) in enumerate(zip(elements, partition_ids(n))):
-        word = elem.word
+    for i, (word, part) in enumerate(zip(by_word, parts)):
         for q in nc.down[part]:
             low = block_min[q]
             covers.append((by_word[tuple(low[m - 1] for m in word)], i))
@@ -368,11 +374,9 @@ def enumeration_ids(n: int) -> tuple[int, ...]:
     return _parking_listing(n)[1]
 
 
-@lru_cache(maxsize=None)
 def partition_ids(n: int) -> tuple[int, ...]:
     """The build_nc_poset(n) id of each build_pp_poset(n) element's partition."""
-    index = build_nc_poset(n).index
-    return tuple(index[e.partition] for e in _parking_listing(n)[0])
+    return _parking_listing(n)[2]
 
 
 @lru_cache(maxsize=None)
@@ -391,15 +395,15 @@ def pp_action_ids(n: int, perm: Permutation) -> list[int]:
     The action permutes positions of the parking word, as
     ParkingElement.act and enumeration.word_action do: the letter at
     position perm(i) of the new word is the letter at position i of the
-    old one.  Each new word is looked up by word; no element is built.
+    old one.  Each new word is looked up in the listing's word table; no
+    element is built or read.
     """
     if perm.n != n:
         raise ValueError("permutation size mismatch")
-    words = [e.word for e in build_pp_poset(n).elements]
-    ids = {word: i for i, word in enumerate(words)}
+    ids = _parking_listing(n)[3]
     inv = perm.inverse()
     source = [inv(i) - 1 for i in range(1, n + 1)]
-    return [ids[tuple(map(word.__getitem__, source))] for word in words]
+    return [ids[tuple(map(word.__getitem__, source))] for word in ids]
 
 
 # ----- permutahedron face poset and right combs -----

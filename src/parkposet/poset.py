@@ -9,6 +9,7 @@ multichain counts and lattice checks all run on plain integers.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
@@ -105,16 +106,10 @@ class FinitePoset:
         return self.elements[self._bottom_index()]
 
     def _bottom_index(self) -> int:
-        mins = self.minimal_indices()
-        if len(mins) != 1:
-            raise ValueError(f"poset has {len(mins)} minimal elements")
-        return mins[0]
+        return _only(self.minimal_indices(), "minimal")
 
     def top(self) -> Hashable:
-        maxs = self.maximal_indices()
-        if len(maxs) != 1:
-            raise ValueError(f"poset has {len(maxs)} maximal elements")
-        return self.elements[maxs[0]]
+        return self.elements[_only(self.maximal_indices(), "maximal")]
 
     def ranks(self) -> list[int]:
         """Rank of each element, requiring every cover to raise rank by
@@ -164,18 +159,19 @@ class FinitePoset:
         """mu(bottom, top) after adjoining an artificial top element."""
         return -sum(self._mobius_ids())
 
+    def _by_rank(self, values: Iterable[int]) -> list[int]:
+        """Sums of values, given per id, over each rank."""
+        out = [0] * (self.height() + 1)
+        for r, value in zip(self.ranks(), values):
+            out[r] += value
+        return out
+
     def whitney_second(self) -> list[int]:
-        counts = [0] * (self.height() + 1)
-        for r in self.ranks():
-            counts[r] += 1
-        return counts
+        return self._by_rank(repeat(1))
 
     def whitney_first(self) -> list[int]:
         """Rank-wise sums of mu(bottom, x)."""
-        out = [0] * (self.height() + 1)
-        for value, r in zip(self._mobius_ids(), self.ranks()):
-            out[r] += value
-        return out
+        return self._by_rank(self._mobius_ids())
 
     # ----- chains -----
 
@@ -194,10 +190,7 @@ class FinitePoset:
     def multichain_rank_counts(self, k: int) -> list[int]:
         """Number of k-multichains, k >= 1, grouped by the rank of their
         top element."""
-        out = [0] * (self.height() + 1)
-        for r, value in zip(self.ranks(), self._multichains_ending_at(k)):
-            out[r] += value
-        return out
+        return self._by_rank(self._multichains_ending_at(k))
 
     def count_maximal_chains(self) -> int:
         paths = [0] * len(self.elements)
@@ -207,18 +200,10 @@ class FinitePoset:
 
     def maximal_chains(self) -> Iterator[tuple[Hashable, ...]]:
         """All maximal chains, as element tuples from minimal to maximal."""
-
-        def extend(i: int, acc: list[int]) -> Iterator[tuple[Hashable, ...]]:
-            acc.append(i)
-            if not self.up[i]:
-                yield tuple(self.elements[j] for j in acc)
-            else:
-                for j in self.up[i]:
-                    yield from extend(j, acc)
-            acc.pop()
-
-        for i in sorted(self.minimal_indices()):
-            yield from extend(i, [])
+        elements = self.elements
+        for i in self.minimal_indices():
+            for chain in _chains(self.up, i):
+                yield tuple(map(elements.__getitem__, chain))
 
     # ----- derived posets -----
 
@@ -407,7 +392,7 @@ def posets_isomorphic(first: FinitePoset, second: FinitePoset) -> bool:
     image = [0] * m
     used = [False] * m
 
-    def extend(pos: int) -> bool:
+    def assign(pos: int) -> bool:
         if pos == m:
             return True
         i = order[pos]
@@ -422,12 +407,39 @@ def posets_isomorphic(first: FinitePoset, second: FinitePoset) -> bool:
             ):
                 image[i] = j
                 used[j] = True
-                if extend(pos + 1):
+                if assign(pos + 1):
                     return True
                 used[j] = False
         return False
 
-    return extend(0)
+    return assign(0)
+
+
+def _chains(
+    order: list[list[int]] | dict[int, list[int]], start: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Maximal chains from id ``start`` as id tuples, by a depth-first walk
+    over the cover lists in their given order (so in the chain order of a
+    cover order); ``order`` needs only the ids reachable from ``start``,
+    and a start with no cover is a one-element chain."""
+    chain: list[int] = []
+    stack = [iter((start,))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            del chain[-1:]
+        elif order[nxt]:
+            chain.append(nxt)
+            stack.append(iter(order[nxt]))
+        else:
+            yield (*chain, nxt)
+
+
+def _only(ids: list[int], kind: str) -> int:
+    if len(ids) != 1:
+        raise ValueError(f"poset has {len(ids)} {kind} elements")
+    return ids[0]
 
 
 def _first_with_mask(mask: int, masks: list[int]) -> int | None:

@@ -16,18 +16,18 @@ parking side it is ``cover_key`` read from ids, one code per element
 (``_parking_codes``) and one label per NC_n cover, in one cached order
 per n (``_parking_cover_order``).  The first cover of x below v in that
 order (``_first_below``) decides every earlier-swap test, and both fork
-lemmas run one loop.  The maximal chains come out of one depth-first
-walk over the sorted lists already in the chain order, and the shelling
-check reads each chain as it comes: a chain passes when, between the
-positions where an earlier swap exists, it takes the first cover below
-the next such position at every step.  No bounded poset is built: the
-walk runs on ``build_pp_poset(n)`` with a sentinel top id m as the one
-cover of every maximal element (``_hat_cover_order``), and -1 as its
-down-set mask.  Joins are read from ``join_index`` of the poset
-checked, with None for the adjoined top: the bounded poset is a
-lattice, so two elements with a common upper bound in the parking
-poset have a least one there, and its join in the bounded poset is the
-top exactly when they have none.
+lemmas run one loop.  The maximal chains come out of the depth-first
+walk of ``poset._chains`` over the sorted lists, already in the chain
+order, and the shelling check reads each chain as it comes: a chain
+passes when, between the positions where an earlier swap exists, it
+takes the first cover below the next such position at every step.  No
+bounded poset is built: the walk runs on ``build_pp_poset(n)`` with a
+sentinel top id m as the one cover of every maximal element
+(``_hat_cover_order``), and -1 as its down-set mask.  Joins are read
+from ``join_index`` of the poset checked, with None for the adjoined
+top: the bounded poset is a lattice, so two elements with a common upper
+bound in the parking poset have a least one there, and its join in the
+bounded poset is the top exactly when they have none.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -55,7 +55,7 @@ from .parking_order import (
     partition_ids,
     upper_covers,
 )
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset, _bits, _chains
 
 # ----- cover statistics -----
 
@@ -219,26 +219,6 @@ class ShellingReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _chains(
-    order: list[list[int]] | dict[int, list[int]], start: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Maximal chains from id ``start`` by a depth-first walk over the
-    sorted cover lists, so in the chain order.  ``order`` is indexed by
-    id and needs only the ids reachable from ``start``."""
-    chain = [start]
-    stack = [iter(order[start])]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            chain.pop()
-        elif order[nxt]:
-            chain.append(nxt)
-            stack.append(iter(order[nxt]))
-        else:
-            yield (*chain, nxt)
 
 
 def sorted_maximal_chains(n: int) -> list[tuple[int, ...]]:

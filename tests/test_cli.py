@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from parkposet import cli, forests, kdivisible
+from parkposet import cli, kdivisible
 from parkposet.cli import main
 from parkposet.enumeration import enumerate_parking_words, word_action
 from parkposet.homology import signed_prime_character
@@ -398,12 +398,6 @@ class TestCluster:
         assert data["poset_size"] == 22
         assert data["rank_sizes"] == [1, 9, 12]
 
-    def test_json_summary_lists_the_faces_once(self, capsys):
-        forests._face_listing.cache_clear()
-        code, _ = run(capsys, "cluster", "--n", "4")
-        assert code == 0
-        assert forests._face_listing.cache_info().misses == 1
-
     def test_csv_face_counts(self, capsys):
         code, out = run(capsys, "cluster", "--n", "5", "--format", "csv")
         assert code == 0
@@ -596,7 +590,7 @@ VERIFY_ALL_STDOUT = {
         " forms, n=2..4\n"
         "[PASS] shelling: shelling and support lemmas, n=2..4 (404 chains)\n"
         "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
-        " (n-1)^(n-1), n=3..4\n"
+        " (n-1)^(n-1), n=2..4\n"
         "[PASS] characters: Lefschetz and fixed-point characters, n<=4, k<=2\n"
         "[PASS] series: species equation, inverse, coefficients to order 6, k<=2\n"
         "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
@@ -613,7 +607,7 @@ VERIFY_ALL_STDOUT = {
         " forms, n=2..5\n"
         "[PASS] shelling: shelling and support lemmas, n=2..4 (404 chains)\n"
         "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
-        " (n-1)^(n-1), n=3..5\n"
+        " (n-1)^(n-1), n=2..5\n"
         "[PASS] characters: Lefschetz and fixed-point characters, n<=4, k<=3\n"
         "[PASS] series: species equation, inverse, coefficients to order 6, k<=3\n"
         "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
@@ -622,6 +616,32 @@ VERIFY_ALL_STDOUT = {
         "[PASS] permutahedron: right comb matches composition face poset, n=2..4\n"
         "12/12 checks passed\n"
     ),
+}
+
+# At the smallest sizes each detail line names only what ran: the Betti
+# and cluster sweeps start at n = 2, and with k = 1 no Edelman subposet
+# pair and no (3, 2) Betti check is in range.
+SMALL_VERIFY_ALL_STDOUT = {
+    n: (
+        f"[PASS] cardinality: (n+1)^(n-1) in four representations, n=2..{n}\n"
+        "[PASS] whitney-second: rank census matches l!*binom(n,l)*S2(n,l+1),"
+        f" n=2..{n}\n"
+        f"[PASS] chain-formula: multichain census matches closed counts, n<={n},"
+        " k<=1\n"
+        "[PASS] mobius-whitney-first: Whitney first kind and mobius match closed"
+        f" forms, n=2..{n}\n"
+        f"[PASS] shelling: shelling and support lemmas, n=2..{n} ({chains} chains)\n"
+        "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
+        f" (n-1)^(n-1), n=2..{n}\n"
+        f"[PASS] characters: Lefschetz and fixed-point characters, n<={n}, k<=1\n"
+        "[PASS] series: species equation, inverse, coefficients to order 6, k<=1\n"
+        "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
+        f"[PASS] cluster: facet counts n<8, Whitney relation and top rank n<={n}\n"
+        "[PASS] k-divisible: k-divisible counts, k<=1\n"
+        f"[PASS] permutahedron: right comb matches composition face poset, n=2..{n}\n"
+        "12/12 checks passed\n"
+    )
+    for n, chains in ((2, 2), (3, 20))
 }
 
 
@@ -665,7 +685,7 @@ class TestVerifyAll:
         assert cli._run_verify_check(("homology-betti", 5, 1)) == (
             "homology-betti",
             True,
-            "betti concentrated in degree n-2 with rank (n-1)^(n-1), n=3..5",
+            "betti concentrated in degree n-2 with rank (n-1)^(n-1), n=2..5",
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -727,6 +747,37 @@ class TestVerifyAll:
         # the caps show in the detail lines: with --n 5, six criteria
         # still stop at n = 4
         assert run(capsys, "verify-all", *argv) == (0, VERIFY_ALL_STDOUT[argv])
+
+    @pytest.mark.parametrize("n", sorted(SMALL_VERIFY_ALL_STDOUT))
+    def test_small_sweeps_name_only_what_ran(self, capsys, n):
+        out = SMALL_VERIFY_ALL_STDOUT[n]
+        assert run(capsys, "verify-all", "--n", str(n), "--k", "1") == (0, out)
+
+    def test_kdivisible_detail_at_k_two_and_n_two(self):
+        # the Edelman pair (2, 2) runs; the (3, 2) Betti check does not
+        assert cli._run_verify_check(("k-divisible", 2, 2)) == (
+            "k-divisible",
+            True,
+            "k-divisible counts, Edelman subposets, k<=2",
+        )
+
+    def test_whitney_second_counts_the_fibres(self, monkeypatch):
+        assert cli._run_verify_check(("whitney-second", 3, 1))[1]
+        dropped = []
+
+        def short(n):
+            partitions = list(enumerate_noncrossing(n))
+            dropped.append(partitions.pop())
+            return partitions
+
+        monkeypatch.setattr(cli, "enumerate_noncrossing", short)
+        # n = 2 loses the fibre of the single block [1, 2], its one labelling
+        assert cli._run_verify_check(("whitney-second", 3, 1)) == (
+            "whitney-second",
+            False,
+            "n=2: census [1, 2], fibres [0, 2], closed [1, 2]",
+        )
+        assert dropped == [NoncrossingPartition(2, [[1, 2]])]
 
 
 class TestPlumbing:

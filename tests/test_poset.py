@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkposet import parking_order
+from parkposet.forests import build_cluster_poset
 from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
@@ -39,6 +40,7 @@ from parkposet.parking_order import (
     enumeration_ids,
     partition_ids,
     permutahedron_face_poset,
+    pp_action_ids,
     pp_join,
     pp_join_many,
     pp_leq,
@@ -94,6 +96,41 @@ def test_bowtie_is_not_a_lattice():
     assert not p.is_lattice()
     assert p.join("a", "b") is None
     assert p.meet("c", "d") is None
+
+
+def maximal_chains_by_recursion(poset):
+    """The recursive walk over the cover lists, kept as an oracle for
+    `maximal_chains`."""
+
+    def extend(i, acc):
+        acc = acc + (poset.elements[i],)
+        if not poset.up[i]:
+            yield acc
+        for j in poset.up[i]:
+            yield from extend(j, acc)
+
+    for i in sorted(poset.minimal_indices()):
+        yield from extend(i, ())
+
+
+def test_maximal_chains_keep_an_isolated_point():
+    p = FinitePoset("abcd", [(0, 1), (0, 2)])
+    assert list(p.maximal_chains()) == [("a", "b"), ("a", "c"), ("d",)]
+    assert list(FinitePoset("x", []).maximal_chains()) == [("x",)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda n=n: build_pp_poset(n) for n in range(2, 5)),
+        *(lambda n=n: build_nc_poset(n) for n in range(2, 7)),
+        lambda: build_cluster_poset(3),
+        lambda: permutahedron_face_poset(3),
+    ],
+)
+def test_maximal_chains_match_the_recursive_walk(build):
+    poset = build()
+    assert list(poset.maximal_chains()) == list(maximal_chains_by_recursion(poset))
 
 
 def test_chain_multichains():
@@ -283,6 +320,35 @@ def test_partition_ids_name_each_partition(n):
 def test_enumeration_ids_follow_the_enumeration(n):
     pp = build_pp_poset(n)
     assert list(enumeration_ids(n)) == [pp.index[e] for e in enumerate_elements(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_listing_looks_up_each_partition_once(n, monkeypatch):
+    """A cold listing hashes each partition once, for its whole run of
+    enumerate_elements, which runs partition by partition."""
+    build_nc_poset(n)
+    hashed = []
+    plain = SetPartition.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return plain(self)
+
+    parking_order._parking_listing.cache_clear()
+    monkeypatch.setattr(SetPartition, "__hash__", counted)
+    parking_order._parking_listing(n)
+    assert len(hashed) == catalan(n)
+
+
+def test_action_ids_read_no_word(monkeypatch):
+    perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
+    expected = [pp_action_ids(4, perm) for perm in perms]
+
+    def refuse(self):
+        raise AssertionError("word read")
+
+    monkeypatch.setattr(ParkingElement, "word", property(refuse))
+    assert [pp_action_ids(4, perm) for perm in perms] == expected
 
 
 def test_builder_lifts_nc_covers(monkeypatch):
