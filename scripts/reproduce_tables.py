@@ -19,6 +19,7 @@ from parkposet import (
     class_representatives,
     count_elements,
     parking_betti,
+    prime_parking_count,
     signed_prime_character,
     top_homology_character,
     whitney_first_kind,
@@ -53,19 +54,20 @@ def print_tables(nmax: int) -> None:
         closed_w = [whitney_first_kind(n, l) for l in range(n)]
         expect(f"n={n} Whitney numbers of the first kind", whitney, closed_w)
         mobius = poset.mobius_hat()
-        expect(f"n={n} mobius-hat", mobius, (-1) ** n * (n - 1) ** (n - 1))
+        expect(f"n={n} mobius-hat", mobius, (-1) ** n * prime_parking_count(n))
         print(f"  n={n}: ranks {census} (closed {closed})")
         print(f"        whitney first {whitney} (closed {closed_w})")
         print(f"        mobius-hat {mobius}")
 
     print("reduced Betti numbers of the proper part (degrees -1, 0, ...)")
-    for n in range(3, nmax + 1):
+    for n in range(2, nmax + 1):
         betti = parking_betti(n)
-        expect(f"n={n} Betti numbers", betti, (0,) * (n - 1) + ((n - 1) ** (n - 1),))
+        closed_b = (0,) * (n - 1) + (prime_parking_count(n),)
+        expect(f"n={n} Betti numbers", betti, closed_b)
         print(f"  n={n}: {betti}")
 
     print("homology character tables (Lefschetz vs closed formula)")
-    for n in range(3, min(nmax, 4) + 1):
+    for n in range(2, nmax + 1):
         print(f"  n={n}:")
         for perm in class_representatives(n):
             value = top_homology_character(n, perm)

@@ -108,3 +108,17 @@ def whitney_first_kind(n: int, length: int) -> int:
         * binomial(n + length - 1, length)
         * stirling2(n, length + 1)
     )
+
+
+def parking_count(n: int, k: int = 1) -> int:
+    """(kn + 1)^(n - 1) for n >= 1: the k-parking functions on [n], the
+    elements of the k-divisible parking poset, and the sum of
+    `chain_count(n, k, l)` over all lengths l."""
+    return (k * n + 1) ** (n - 1)
+
+
+def prime_parking_count(n: int, k: int = 1) -> int:
+    """(kn - 1)^(n - 1) for n >= 2: the prime k-parking functions on [n],
+    the absolute Mobius value of the k-divisible parking poset, and the
+    rank of the top reduced homology of its proper part."""
+    return (k * n - 1) ** (n - 1)

@@ -30,6 +30,7 @@ from .nc import (
     is_interval_partition,
     lukasiewicz_decode,
 )
+from .numbers import parking_count
 
 MAX_ELEMENT_ENUMERATION_N = 7
 
@@ -530,7 +531,7 @@ def enumerate_elements(n: int) -> Iterator[ParkingElement]:
 
 
 def count_elements(n: int) -> int:
-    return (n + 1) ** (n - 1) if n >= 1 else 1
+    return parking_count(n) if n >= 1 else 1
 
 
 def enumerate_trees(n: int, k: int = 1) -> Iterator[Tree]:

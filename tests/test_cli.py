@@ -472,18 +472,21 @@ class TestKdivisible:
     def test_budget_guard(self, capsys):
         # each request exits 2 before building, naming the limit it hit;
         # 999 elements fit the default element budget, 999 * 499 chain
-        # entries do not
+        # entries do not; 2001**1999 elements are refused without printing
+        # the count, whose digits an int may not print
         for argv, limit in (
             (("--n", "5", "--k", "2"), "element budget 1000"),
             (("--n", "2", "--k", "499"), "chain entry budget 50000"),
             (("--n", "5", "--k", "3", "--long"), "element budget 20000"),
             (("--n", "2", "--k", "2000", "--long"), "chain entry budget 500000"),
+            (("--n", "2000", "--k", "1"), "element budget 1000"),
         ):
             code = main(["kdivisible", *argv])
             captured = capsys.readouterr()
             assert code == 2
             assert captured.out == ""
             assert limit in captured.err
+            assert len(captured.err) < 120
 
     @staticmethod
     def _long_size_five(*extra):
@@ -602,18 +605,19 @@ VERIFY_ALL_STDOUT = {
     ("--n", "5", "--k", "3", "--long"): (
         "[PASS] cardinality: (n+1)^(n-1) in four representations, n=2..5\n"
         "[PASS] whitney-second: rank census matches l!*binom(n,l)*S2(n,l+1), n=2..5\n"
-        "[PASS] chain-formula: multichain census matches closed counts, n<=4, k<=3\n"
+        "[PASS] chain-formula: multichain census matches closed counts, n<=5, k<=3\n"
         "[PASS] mobius-whitney-first: Whitney first kind and mobius match closed"
         " forms, n=2..5\n"
-        "[PASS] shelling: shelling and support lemmas, n=2..4 (404 chains)\n"
+        "[PASS] shelling: shelling and support lemmas, n=2..5 (15404 chains)\n"
         "[PASS] homology-betti: betti concentrated in degree n-2 with rank"
         " (n-1)^(n-1), n=2..5\n"
-        "[PASS] characters: Lefschetz and fixed-point characters, n<=4, k<=3\n"
+        "[PASS] characters: Lefschetz and fixed-point characters, n<=5, k<=3\n"
         "[PASS] series: species equation, inverse, coefficients to order 6, k<=3\n"
         "[PASS] k-trees: Prufer and chain bijections round-trip, (n,k)=(3,2)\n"
-        "[PASS] cluster: facet counts n<8, Whitney relation and top rank n<=4\n"
-        "[PASS] k-divisible: k-divisible counts, Edelman subposets, homology, k<=3\n"
-        "[PASS] permutahedron: right comb matches composition face poset, n=2..4\n"
+        "[PASS] cluster: facet counts n<8, Whitney relation and top rank n<=5\n"
+        "[PASS] k-divisible: k-divisible counts, Edelman subposets, homology, k<=3,"
+        " (5,3) skipped over the --long budget\n"
+        "[PASS] permutahedron: right comb matches composition face poset, n=2..5\n"
         "12/12 checks passed\n"
     ),
 }
@@ -642,6 +646,17 @@ SMALL_VERIFY_ALL_STDOUT = {
         "12/12 checks passed\n"
     )
     for n, chains in ((2, 2), (3, 20))
+}
+
+# Detail lines at n = 5, k = 1, the size that verify-all --long reaches.
+# The k-divisible line names n only in a skipped pair, which
+# test_kdivisible_criterion_skips_pairs_over_the_budget covers.
+SIZE_FIVE_DETAILS = {
+    "chain-formula": "multichain census matches closed counts, n<=5, k<=1",
+    "shelling": "shelling and support lemmas, n=2..5 (15404 chains)",
+    "characters": "Lefschetz and fixed-point characters, n<=5, k<=1",
+    "cluster": "facet counts n<8, Whitney relation and top rank n<=5",
+    "permutahedron": "right comb matches composition face poset, n=2..5",
 }
 
 
@@ -744,14 +759,39 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("argv", sorted(VERIFY_ALL_STDOUT))
     def test_golden_stdout(self, capsys, argv):
-        # the caps show in the detail lines: with --n 5, six criteria
-        # still stop at n = 4
+        # with --n 5 every criterion runs at n = 5, and only ppk(5, 3)
+        # (65536 elements) is over the --long k-divisible budget
         assert run(capsys, "verify-all", *argv) == (0, VERIFY_ALL_STDOUT[argv])
 
     @pytest.mark.parametrize("n", sorted(SMALL_VERIFY_ALL_STDOUT))
     def test_small_sweeps_name_only_what_ran(self, capsys, n):
         out = SMALL_VERIFY_ALL_STDOUT[n]
         assert run(capsys, "verify-all", "--n", str(n), "--k", "1") == (0, out)
+
+    @pytest.mark.parametrize("name", sorted(SIZE_FIVE_DETAILS))
+    def test_criterion_runs_at_size_five(self, name):
+        detail = SIZE_FIVE_DETAILS[name]
+        assert cli._run_verify_check((name, 5, 1)) == (name, True, detail)
+
+    def test_kdivisible_criterion_skips_pairs_over_the_budget(self, monkeypatch):
+        built = []
+
+        def build(n, k):
+            built.append((n, k))
+            return kdivisible.build_ppk_poset(n, k)
+
+        monkeypatch.setattr(cli, "build_ppk_poset", build)
+        monkeypatch.setattr(cli, "_KDIVISIBLE_BUDGET", ((1000, 50000), (1000, 500000)))
+        # 13**3 = 2197 and 6**4 = 1296 elements are over 1000
+        assert cli._run_verify_check(("k-divisible", 5, 3)) == (
+            "k-divisible",
+            True,
+            "k-divisible counts, Edelman subposets, homology, k<=3,"
+            " (4,3) (5,1) (5,2) (5,3) skipped over the --long budget",
+        )
+        assert built == [
+            (n, k) for n in range(2, 5) for k in range(1, 4) if (n, k) != (4, 3)
+        ]
 
     def test_kdivisible_detail_at_k_two_and_n_two(self):
         # the Edelman pair (2, 2) runs; the (3, 2) Betti check does not
@@ -795,6 +835,14 @@ class TestPlumbing:
         assert text.startswith("n,k,l,closed,oracle,series\n")
         assert "\r" not in text
 
+    def test_unwritable_output_is_an_argument_error(self, capsys, tmp_path):
+        for target in (tmp_path, tmp_path / "missing" / "poset.json"):
+            code = main(["poset", "--n", "3", "--output", str(target)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {target}: ")
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "parkposet.cli", "count", "--n", "2"],
@@ -808,6 +856,43 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("poset", "--n", "6"), "need 2 <= n <= 5 (6 with --long)"),
+        (("poset", "--n", "7", "--long"), "need 2 <= n <= 5 (6 with --long)"),
+        (("poset", "--which", "nc", "--n", "0"), "need 1 <= n <= 7 (9 with --long)"),
+        (
+            ("poset", "--which", "nc", "--n", "10", "--long"),
+            "need 1 <= n <= 7 (9 with --long)",
+        ),
+        (("count", "--n", "8"), "need 2 <= n <= 7"),
+        (("count", "--n", "1", "--long"), "need 2 <= n <= 7"),
+        (("shelling", "--n", "5"), "need 2 <= n <= 4 (5 with --long)"),
+        (("shelling", "--n", "6", "--long"), "need 2 <= n <= 4 (5 with --long)"),
+        (("homology", "--n", "1"), "need 2 <= n <= 4 (5 with --long)"),
+        (("homology", "--n", "6", "--long"), "need 2 <= n <= 4 (5 with --long)"),
+        (("homology", "--n", "5", "--character"), "need 2 <= n <= 4 (6 with --long)"),
+        (
+            ("homology", "--n", "7", "--long", "--character"),
+            "need 2 <= n <= 4 (6 with --long)",
+        ),
+        (("cluster", "--n", "5"), "need 2 <= n <= 4 (5 with --long)"),
+        (("cluster", "--n", "6", "--long"), "need 2 <= n <= 4 (5 with --long)"),
+        (
+            ("cluster", "--n", "9", "--format", "csv"),
+            "need 2 <= n <= 8 for face counts",
+        ),
+        (("kdivisible", "--n", "1", "--k", "1"), "need n >= 2 and k >= 1"),
+        (("verify-all", "--n", "5"), "need 2 <= n <= 4 (5 with --long)"),
+        (("verify-all", "--n", "1", "--long"), "need 2 <= n <= 4 (5 with --long)"),
+    ],
+)
+def test_n_just_outside_the_range_is_refused(capsys, argv, message):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def readme_commands():

@@ -47,12 +47,17 @@ def test_reproduce_tables_rejects_nmax_out_of_range(tmp_path):
     assert result.stdout == ""
 
 
-def test_reproduce_tables_fails_on_a_mismatch(monkeypatch, capsys):
+def load_reproduce_tables():
     spec = importlib.util.spec_from_file_location(
         "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_tables_fails_on_a_mismatch(monkeypatch, capsys):
+    script = load_reproduce_tables()
     assert script.main(["--nmax", "3"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(script, "whitney_first_kind", lambda n, l: 0)
@@ -60,3 +65,32 @@ def test_reproduce_tables_fails_on_a_mismatch(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("MISMATCH n=2 Whitney numbers of the first kind")
     assert "whitney first" not in captured.out
+
+
+def test_reproduce_tables_runs_every_table_from_two_to_nmax(monkeypatch, capsys):
+    script = load_reproduce_tables()
+    assert script.main(["--nmax", "5"]) == 0
+    out = capsys.readouterr().out
+    tables = out.split("reduced Betti numbers")[1]
+    betti, characters = tables.split("homology character")
+    assert betti.splitlines()[1:] == [
+        "  n=2: (0, 1)",
+        "  n=3: (0, 0, 4)",
+        "  n=4: (0, 0, 0, 27)",
+        "  n=5: (0, 0, 0, 0, 256)",
+    ]
+    assert "  n=2:\n" in characters
+    five = (
+        ("1+1+1+1+1", 256), ("2+1+1+1", -64), ("2+2+1", 16), ("3+1+1", 16),
+        ("3+2", -4), ("4+1", -4), ("5", 1),
+    )
+    rows = "".join(f"    {cycles:>10}: {v:>5} (closed {v}) ok\n" for cycles, v in five)
+    assert characters.endswith("  n=5:\n" + rows)
+    closed = script.signed_prime_character
+    monkeypatch.setattr(
+        script,
+        "signed_prime_character",
+        lambda n, k, perm: closed(n, k, perm) + (n == 5),
+    )
+    assert script.main(["--nmax", "5"]) == 1
+    assert capsys.readouterr().err.startswith("MISMATCH n=5 character at 1+1+1+1+1")

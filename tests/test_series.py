@@ -6,7 +6,13 @@ from math import factorial
 
 import pytest
 
-from parkposet.numbers import chain_count, whitney_first_kind
+from parkposet.numbers import (
+    chain_count,
+    parking_count,
+    prime_parking_count,
+    whitney_first_kind,
+)
+from parkposet.objects import count_elements
 from parkposet.parking_order import build_pp_poset
 from parkposet.series import (
     TruncatedSeries,
@@ -97,7 +103,17 @@ def test_chain_count_row_sums():
     for n in range(1, 8):
         for k in range(1, 5):
             total = sum(chain_count(n, k, length) for length in range(n))
-            assert total == (k * n + 1) ** (n - 1)
+            assert total == parking_count(n, k) == (k * n + 1) ** (n - 1)
+
+
+def test_parking_counts():
+    assert [parking_count(n) for n in range(1, 7)] == [1, 3, 16, 125, 1296, 16807]
+    assert [prime_parking_count(n) for n in range(2, 7)] == [1, 4, 27, 256, 3125]
+    assert (parking_count(4, 3), prime_parking_count(5, 2)) == (2197, 6561)
+    for n in range(2, 7):
+        for k in range(1, 4):
+            assert prime_parking_count(n, k) == (k * n - 1) ** (n - 1)
+    assert count_elements(0) == 1 and type(count_elements(0)) is int
 
 
 def test_parking_function_numbers():
