@@ -4,6 +4,9 @@
 Writes the parking poset, the noncrossing lattice, the cluster poset,
 and the k-divisible chain poset for the requested sizes into the output
 directory, using the CLI so the artifacts match its formats exactly.
+With --long every CLI call gets --long, which n = 5 needs for the
+cluster and k-divisible posets.  On the first call the CLI refuses, the
+script prints that call and exits with its status.
 """
 
 import argparse
@@ -19,6 +22,9 @@ def main() -> int:
     parser.add_argument(
         "--outdir", default="exports", help="directory for the artifacts"
     )
+    parser.add_argument(
+        "--long", action="store_true", help="pass --long to every CLI call"
+    )
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -31,7 +37,9 @@ def main() -> int:
         (f"cluster_{args.n}.json", ["cluster", "--n", n]),
         (f"kdivisible_{args.n}_{args.k}.json", ["kdivisible", "--n", n, "--k", k]),
     ]
+    long = ["--long"] if args.long else []
     for name, argv in jobs:
+        argv = argv + long
         target = outdir / name
         code = cli(argv + ["--output", str(target)])
         if code != 0:

@@ -88,6 +88,7 @@ from .parking_order import (
     build_nc_poset,
     build_pp_poset,
     element_from_block_labels,
+    parking_words,
     permutahedron_face_poset,
     pp_action_ids,
     right_comb_subposet,
@@ -163,9 +164,9 @@ def _json_text(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _word_label(elem: ParkingElement) -> str:
-    joint = "" if elem.n < 10 else "."
-    return joint.join(str(x) for x in elem.word)
+def _word_text(word: Sequence[int]) -> str:
+    joint = "" if len(word) < 10 else "."
+    return joint.join(map(str, word))
 
 
 def _blocks_label(partition) -> str:
@@ -173,7 +174,7 @@ def _blocks_label(partition) -> str:
 
 
 def _chain_label(chain: Sequence[ParkingElement]) -> str:
-    return ";".join(_word_label(x) for x in chain)
+    return ";".join(_word_text(x.word) for x in chain)
 
 
 def _cycle_type_label(perm: Permutation) -> str:
@@ -258,15 +259,15 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if args.which == "parking":
         _require_n(args, *_PARKING_N)
         poset = build_pp_poset(n)
-        label: Callable = _word_label
+        labels = map(_word_text, parking_words(n))
     else:
         _require_n(args, 1, 7, 9)
         poset = build_nc_poset(n)
-        label = _blocks_label
+        labels = map(_blocks_label, poset.elements)
     if args.format == "dot":
-        _emit(poset.to_dot(label), args.output)
+        _emit(poset.to_dot(labels), args.output)
     else:
-        _emit(_json_text(poset.to_json(label, n=n, kind=args.which)), args.output)
+        _emit(_json_text(poset.to_json(labels, n=n, kind=args.which)), args.output)
     return 0
 
 
@@ -348,7 +349,7 @@ def _regression_entry() -> dict:
         witness = recursive_atom_ordering_failure()
     except (ValueError, RuntimeError) as exc:
         return {**entry, "ok": False, "counterexample": str(exc)}
-    labels = {key: _word_label(e) for key, e in witness.items()}
+    labels = {key: _word_text(e.word) for key, e in witness.items()}
     return {**entry, "ok": True, "counterexample": None, "witness": labels}
 
 
@@ -423,9 +424,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(
             poset.to_dot(
-                lambda pair: " ".join(f"{i}-{j}" for i, j in sorted(pair[0]))
+                " ".join(f"{i}-{j}" for i, j in sorted(face))
                 + "|"
-                + _word_label(pair[1])
+                + _word_text(elem.word)
+                for face, elem in poset.elements
             ),
             args.output,
         )
@@ -500,7 +502,7 @@ def cmd_kdivisible(args: argparse.Namespace) -> int:
             args, n, k, poset, lambda perm: ppk_action_ids(n, k, perm)
         )
     if args.format == "dot":
-        _emit(poset.to_dot(_chain_label), args.output)
+        _emit(poset.to_dot(map(_chain_label, poset.elements)), args.output)
         return 0
     summary = _kdivisible_summary(n, k, poset)
     if args.format == "csv":

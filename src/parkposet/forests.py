@@ -43,7 +43,7 @@ from .parking_order import (
     partition_ids,
     pp_leq,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, element_ids
 
 Edge = tuple[int, int]
 
@@ -151,16 +151,19 @@ def face_poset(faces: Iterable[frozenset[Edge]]) -> FinitePoset:
 
     The order complex of this poset is the barycentric subdivision of the
     simplicial complex, so the homology machinery applied to it computes
-    the homology of the complex itself.
+    the homology of the complex itself.  ValueError on a repeated face.
     """
     nonempty = sorted((f for f in faces if f), key=sorted)
+    ids = element_ids(nonempty)
     covers = [
         (i, j)
         for i, f in enumerate(nonempty)
         for j, g in enumerate(nonempty)
         if len(g) == len(f) + 1 and f < g
     ]
-    return FinitePoset(nonempty, covers)
+    poset = FinitePoset(nonempty, covers)
+    poset.index = ids
+    return poset
 
 
 # ----- cluster parking functions -----

@@ -23,13 +23,18 @@ partition on which the two elements descend alike (pp_meet).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 from typing import Iterable, Iterator
 
-from .nc import NoncrossingPartition, Permutation, SetPartition, noncrossing_closure
-from .objects import ParkingElement, enumerate_elements
-from .poset import FinitePoset
+from .nc import (
+    NoncrossingPartition,
+    Permutation,
+    SetPartition,
+    enumerate_noncrossing,
+    noncrossing_closure,
+)
+from .objects import ParkingElement, distributions
+from .poset import FinitePoset, LazyElements, element_ids
 
 
 class _Top:
@@ -105,17 +110,18 @@ def nc_coarsenings(partition: NoncrossingPartition) -> set[NoncrossingPartition]
 
 @lru_cache(maxsize=None)
 def build_nc_poset(n: int) -> FinitePoset:
-    """The noncrossing partition lattice NC_n as a FinitePoset."""
+    """The noncrossing partition lattice NC_n as a FinitePoset, with its
+    index built here, where the covers are looked up in it."""
     if n > 9:
         raise ValueError("build_nc_poset is guarded to n <= 9")
-    from .nc import enumerate_noncrossing
-
     elements = sorted(
         enumerate_noncrossing(n), key=lambda p: (len(p.blocks), p.blocks)
     )
-    ids = {p: i for i, p in enumerate(elements)}
+    ids = element_ids(elements)
     covers = [(i, ids[q]) for i, p in enumerate(elements) for q in nc_upper_covers(p)]
-    return FinitePoset(elements, covers)
+    poset = FinitePoset(elements, covers)
+    poset.index = ids
+    return poset
 
 
 # ----- parking poset order -----
@@ -333,39 +339,77 @@ MAX_POSET_N = 6
 
 @lru_cache(maxsize=None)
 def _parking_listing(n: int) -> tuple[tuple, tuple, tuple, dict]:
-    """The elements of enumerate_elements(n) sorted by (rank, word), the
-    position in that order of each element as enumerated, the NC_n id of
-    each sorted element's partition, and the id of each parking word in
-    id order: one enumeration serves build_pp_poset, enumeration_ids,
-    partition_ids and pp_action_ids.  enumerate_elements runs partition
-    by partition, so each partition is looked up once for its run."""
+    """The parking words of the elements of [n] sorted by (rank, word),
+    the position in that order of each element as enumerate_elements(n)
+    lists it, the NC_n id of each sorted word's partition, and the id of
+    each word: one listing serves build_pp_poset, parking_words,
+    enumeration_ids, partition_ids and pp_action_ids, and builds no
+    element.  It runs over the partitions in enumerate_elements order,
+    so each partition is looked up once.  The label sets depend on the
+    block sizes only, so each tuple of sizes is distributed once, into
+    patterns that give each position its block, and a partition's words
+    read its block minima through them."""
     if n > MAX_POSET_N:
         raise ValueError(f"build_pp_poset is guarded to n <= {MAX_POSET_N}")
-    listing = list(enumerate_elements(n))
     index = build_nc_poset(n).index
-    part = []
-    for partition, run in groupby(listing, key=attrgetter("partition")):
-        part += [index[partition]] * sum(1 for _ in run)
-    order = sorted(range(len(listing)), key=lambda i: listing[i].sort_key)
-    elements = tuple(map(listing.__getitem__, order))
-    words = {e.word: i for i, e in enumerate(elements)}
-    ids = tuple(words[e.word] for e in listing)
-    return elements, ids, tuple(map(part.__getitem__, order)), words
+    patterns: dict[tuple[int, ...], list[list[int]]] = {}
+    listing = []
+    for partition in enumerate_noncrossing(n):
+        sizes = tuple(map(len, partition.blocks))
+        if sizes not in patterns:
+            patterns[sizes] = []
+            for labels in distributions(range(n), sizes):
+                pattern = [0] * n
+                for t, lab in enumerate(labels):
+                    for y in lab:
+                        pattern[y] = t
+                patterns[sizes].append(pattern)
+        lows = [b[0] for b in partition.blocks].__getitem__
+        rank, part = len(sizes) - 1, index[partition]
+        listing += [(rank, tuple(map(lows, p)), part) for p in patterns[sizes]]
+    order = sorted(range(len(listing)), key=listing.__getitem__)
+    ids = [0] * len(order)
+    for i, j in enumerate(order):
+        ids[j] = i
+    words = tuple(listing[j][1] for j in order)
+    parts = tuple(listing[j][2] for j in order)
+    return words, tuple(ids), parts, {w: i for i, w in enumerate(words)}
+
+
+def _element_from_word(partition: NoncrossingPartition, word) -> ParkingElement:
+    """The element with the given partition and parking word: each block's
+    label set is the positions that carry its minimum."""
+    labels: dict[int, list[int]] = {b[0]: [] for b in partition.blocks}
+    for i, m in enumerate(word, start=1):
+        labels[m].append(i)
+    return ParkingElement.from_triple(partition, labels.values())
 
 
 @lru_cache(maxsize=None)
 def build_pp_poset(n: int) -> FinitePoset:
     """The parking poset on [n], elements sorted by (rank, word), with the
-    NC_n lower covers of each partition lifted by descent on the word."""
-    elements, _, parts, by_word = _parking_listing(n)
+    NC_n lower covers of each partition lifted by descent on the word.
+    The build reads words and partition ids only: each element is built
+    from its word when its id is first read, and the index on first
+    lookup."""
+    words, _, parts, by_word = _parking_listing(n)
     nc = build_nc_poset(n)
-    block_min = [_block_minima(q) for q in nc.elements]
+    # The minimum of the block of each letter, indexed by the letter.
+    block_min = [[0, *_block_minima(q)].__getitem__ for q in nc.elements]
     covers = []
-    for i, (word, part) in enumerate(zip(by_word, parts)):
+    for i, (word, part) in enumerate(zip(words, parts)):
         for q in nc.down[part]:
-            low = block_min[q]
-            covers.append((by_word[tuple(low[m - 1] for m in word)], i))
+            covers.append((by_word[tuple(map(block_min[q], word))], i))
+    partitions = nc.elements
+    elements = LazyElements(
+        len(words), lambda i: _element_from_word(partitions[parts[i]], words[i])
+    )
     return FinitePoset(elements, covers)
+
+
+def parking_words(n: int) -> tuple[tuple[int, ...], ...]:
+    """The parking word of each build_pp_poset(n) id."""
+    return _parking_listing(n)[0]
 
 
 def enumeration_ids(n: int) -> tuple[int, ...]:
@@ -385,7 +429,8 @@ def build_pp_poset_hat(n: int) -> FinitePoset:
     base = build_pp_poset(n)
     top = len(base)
     covers = base.cover_index_pairs() + [(i, top) for i in base.maximal_indices()]
-    return FinitePoset(list(base.elements) + [TOP], covers)
+    elements = LazyElements(top + 1, lambda i: TOP if i == top else base.elements[i])
+    return FinitePoset(elements, covers)
 
 
 def pp_action_ids(n: int, perm: Permutation) -> list[int]:
@@ -450,7 +495,7 @@ def permutahedron_face_poset(n: int) -> FinitePoset:
     if n > 6:
         raise ValueError("permutahedron_face_poset is guarded to n <= 6")
     elements = sorted(ordered_set_compositions(n), key=lambda c: (len(c), c))
-    ids = {c: j for j, c in enumerate(elements)}
+    ids = element_ids(elements)
     covers = []
     for j, comp in enumerate(elements):
         for i in range(len(comp) - 1):
@@ -460,7 +505,9 @@ def permutahedron_face_poset(n: int) -> FinitePoset:
                 + comp[i + 2 :]
             )
             covers.append((ids[merged], j))
-    return FinitePoset(elements, covers)
+    poset = FinitePoset(elements, covers)
+    poset.index = ids
+    return poset
 
 
 def right_comb_subposet(n: int) -> FinitePoset:

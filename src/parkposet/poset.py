@@ -3,7 +3,10 @@
 Elements can be any hashable objects; covers are pairs of their ids,
 the indices into the element list.  The order is stored as bitmask
 closures of the cover digraph, so containment tests, Mobius values,
-multichain counts and lattice checks all run on plain integers.
+multichain counts and lattice checks all run on plain integers.  The
+element list may be a LazyElements, whose entries are built on first
+read, and the {element: id} index is built on first lookup, so a poset
+read only by id never builds or hashes an element.
 """
 
 from __future__ import annotations
@@ -13,22 +16,60 @@ from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
+class LazyElements(Sequence):
+    """A fixed-length element list whose entry i is make(i), built on
+    first read and kept; make never returns None."""
+
+    __slots__ = ("_make", "_built")
+
+    def __init__(self, length: int, make: Callable[[int], Hashable]):
+        self._make = make
+        self._built: list = [None] * length
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        x = self._built[i]
+        if x is None:
+            x = self._built[i] = self._make(range(len(self))[i])
+        return x
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def element_ids(elements: Sequence[Hashable]) -> dict[Hashable, int]:
+    """The id of each element; ValueError on duplicate elements."""
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
+    return index
+
+
 class FinitePoset:
-    """Finite poset built from an element list and cover id pairs (low, high)."""
+    """Finite poset built from an element list and cover id pairs (low, high).
+
+    A LazyElements list is kept as given, so its entries are built only
+    when read; any other sequence is copied into a list.  The index, and
+    with it the check for duplicate elements, is built on first lookup;
+    builders that hash their elements anyway check them at construction.
+    """
 
     def __init__(
         self,
         elements: Sequence[Hashable],
         covers: Iterable[tuple[int, int]],
     ):
-        """Covers are (low, high) id pairs; ValueError on duplicate
-        elements, an id outside range(len(elements)), a self-cover or a cycle."""
-        self.elements = list(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements")
+        """Covers are (low, high) id pairs; ValueError on an id outside
+        range(len(elements)), a self-cover or a cycle."""
+        if not isinstance(elements, LazyElements):
+            elements = list(elements)
+        self.elements = elements
         m = len(self.elements)
-        ids = list(self.index.values())  # one shared int object per id
+        ids = list(range(m))  # one shared int object per id
         up_sets: list[set[int]] = [set() for _ in range(m)]
         down_sets: list[set[int]] = [set() for _ in range(m)]
         for a, b in covers:
@@ -46,6 +87,12 @@ class FinitePoset:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def index(self) -> dict[Hashable, int]:
+        """The id of each element, built on first lookup; ValueError on
+        duplicate elements."""
+        return element_ids(self.elements)
 
     def _toposort(self) -> list[int]:
         m = len(self.elements)
@@ -213,8 +260,16 @@ class FinitePoset:
         keep_idx = sorted(self.index[x] for x in keep)
         below = self.pull_back(enumerate(keep_idx))
         return FinitePoset.from_down_masks(
-            [self.elements[i] for i in keep_idx], [below[i] for i in keep_idx]
+            self._take(keep_idx), [below[i] for i in keep_idx]
         )
+
+    def _take(self, ids: list[int]) -> Sequence[Hashable]:
+        """The elements of the given ids, in order; lazily when the
+        element list is a LazyElements."""
+        elements = self.elements
+        if isinstance(elements, LazyElements):
+            return LazyElements(len(ids), lambda t: elements[ids[t]])
+        return [elements[i] for i in ids]
 
     def pull_back(
         self, coords: Iterable[tuple[int, int]], dual: bool = False
@@ -242,7 +297,7 @@ class FinitePoset:
         the covers of the subposet."""
         new, up = {i: t for t, i in enumerate(keep)}, self.up
         covers = ((new[i], new[j]) for i in keep for j in up[i] if j in new)
-        return FinitePoset([self.elements[i] for i in keep], covers)
+        return FinitePoset(self._take(keep), covers)
 
     def interval(self, a: Hashable, b: Hashable) -> "FinitePoset":
         """Closed interval [a, b]; its covers are the restricted covers."""
@@ -293,18 +348,24 @@ class FinitePoset:
     def cover_index_pairs(self) -> list[tuple[int, int]]:
         return sorted((i, j) for i in range(len(self.elements)) for j in self.up[i])
 
+    def _labels(self, labels: Iterable[object] | None) -> Iterable[object]:
+        return map(str, self.elements) if labels is None else labels
+
     def to_json(
-        self, label: Callable[[Hashable], object] = str, **meta: object
+        self, labels: Iterable[object] | None = None, **meta: object
     ) -> dict:
+        """The meta entries, one label per id (str of each element by
+        default) and the cover id pairs."""
         data: dict = dict(meta)
-        data["elements"] = [label(x) for x in self.elements]
+        data["elements"] = list(self._labels(labels))
         data["covers"] = [list(pair) for pair in self.cover_index_pairs()]
         return data
 
-    def to_dot(self, label: Callable[[Hashable], str] = str) -> str:
+    def to_dot(self, labels: Iterable[str] | None = None) -> str:
+        """DOT text with one label per id (str of each element by default)."""
         lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
-        for i, x in enumerate(self.elements):
-            lines.append(f'  v{i} [label="{label(x)}"];')
+        for i, label in enumerate(self._labels(labels)):
+            lines.append(f'  v{i} [label="{label}"];')
         for i, j in self.cover_index_pairs():
             lines.append(f"  v{i} -> v{j};")
         lines.append("}")
@@ -318,7 +379,8 @@ class FinitePoset:
         the indices at or below i, i included.  The covers of i are the
         maximal elements of the rest of its down mask: visited from the
         largest down mask to the smallest, an element is a cover unless
-        it lies below a cover already found."""
+        it lies below a cover already found.  No element is hashed: as
+        with the constructor, duplicates surface at the first lookup."""
         size = [mask.bit_count() for mask in down]
 
         def covers() -> Iterator[tuple[int, int]]:
@@ -343,12 +405,16 @@ class FinitePoset:
         route: it calls leq on all ordered pairs of distinct indices, so
         it is quadratic in the number of elements, and hands the down
         masks to from_down_masks.  Builders whose order is pulled back
-        from posets already built use pull_back and from_down_masks."""
+        from posets already built use pull_back and from_down_masks.
+        ValueError on duplicate elements, checked before any call."""
+        index = element_ids(elements)
         m = len(elements)
         down = [
             sum(1 << j for j in range(m) if j == i or leq(j, i)) for i in range(m)
         ]
-        return cls.from_down_masks(elements, down)
+        poset = cls.from_down_masks(elements, down)
+        poset.index = index
+        return poset
 
 
 def _refinement_colors(poset: FinitePoset) -> list[int]:

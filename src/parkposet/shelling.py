@@ -42,6 +42,7 @@ from typing import Callable, Iterator
 
 from .nc import (
     NoncrossingPartition,
+    Permutation,
     embed_permutation,
     permutation_code,
     zero_prefix_length,
@@ -52,6 +53,7 @@ from .parking_order import (
     build_pp_poset,
     element_from_block_labels,
     lower_covers,
+    parking_words,
     partition_ids,
     upper_covers,
 )
@@ -167,8 +169,19 @@ def _nc_labels(nc: FinitePoset) -> dict[tuple[int, int], tuple[int, int]]:
 
 @cache
 def _parking_codes(n: int) -> list[tuple[int, ...]]:
-    """One `element_code` per id of ``build_pp_poset(n)``."""
-    return [element_code(e) for e in build_pp_poset(n).elements]
+    """One `element_code` per id of ``build_pp_poset(n)``, read from the
+    parking word and the partition id with no element built: the label
+    permutation sends each block increasingly onto the positions that
+    carry its minimum."""
+    partitions = build_nc_poset(n).elements
+    codes = []
+    for word, part in zip(parking_words(n), partition_ids(n)):
+        blocks = {b[0]: iter(b) for b in partitions[part].blocks}
+        sigma = [0] * n
+        for i, m in enumerate(word, start=1):
+            sigma[next(blocks[m]) - 1] = i
+        codes.append(permutation_code(Permutation(sigma)))
+    return codes
 
 
 def _parking_key(n: int) -> Callable[[int, int], tuple]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from parkposet import cli, kdivisible
+from parkposet import cli, kdivisible, parking_order
 from parkposet.cli import main
 from parkposet.enumeration import enumerate_parking_words, word_action
 from parkposet.homology import signed_prime_character
@@ -263,12 +263,58 @@ class TestPoset:
         # A separate process, so the 16807-element poset is not kept in
         # this process's builder cache.
         result = subprocess.run(
-            [sys.executable, "-m", "parkposet.cli", "poset", "--n", "6", "--long"],
+            [
+                sys.executable, "-m", "parkposet.cli",
+                "poset", "--n", "6", "--long", "--format", "json",
+            ],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0
         assert len(json.loads(result.stdout)["elements"]) == 16807
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "0c99c920318f0cee4d2df37979924b6ca314d92b9045cbf8ae255006784bfb12"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "54cf022ef74e4417334a1162e5f1af656817d3c252f8877f1b13faa950251984"),
+            ("dot", "0e640db0b216f0764718b319155e3bfc056c72009bdb2e66a2c623b715f269c3"),
+        ],
+    )
+    def test_size_five_digest(self, capsys, fmt, digest):
+        code, out = run(capsys, "poset", "--n", "5", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_parking_build_makes_no_element(self, capsys, monkeypatch):
+        """Building pp(n), and the poset and count commands on it, read
+        words and partition ids only: no ParkingElement is built or
+        hashed."""
+
+        def refuse(*args):
+            raise AssertionError("ParkingElement built or hashed")
+
+        def cold():
+            parking_order._parking_listing.cache_clear()
+            build_pp_poset.cache_clear()
+
+        monkeypatch.setattr(ParkingElement, "__init__", refuse)
+        monkeypatch.setattr(ParkingElement, "__hash__", refuse)
+        cold()
+        try:
+            for n in range(1, 6):
+                build_pp_poset(n)
+            for argv in (
+                ("poset", "--n", "5", "--format", "json"),
+                ("poset", "--n", "5", "--format", "dot"),
+                ("count", "--n", "5", "--k", "3"),
+            ):
+                cold()
+                assert run(capsys, *argv)[0] == 0
+        finally:
+            cold()
 
 
 class TestShelling:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkposet import parking_order
-from parkposet.forests import build_cluster_poset
+from parkposet.forests import build_cluster_poset, face_poset
 from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
@@ -38,6 +38,7 @@ from parkposet.parking_order import (
     nc_lower_covers,
     nc_upper_covers,
     enumeration_ids,
+    parking_words,
     partition_ids,
     permutahedron_face_poset,
     pp_action_ids,
@@ -165,18 +166,62 @@ def test_cycle_rejected():
 @pytest.mark.parametrize(
     "elements,covers",
     [
-        ("aab", [(0, 2)]),
         ("abc", [(1, 1)]),
         ("abc", [(0, 1), (1, 2), (2, 0)]),
         ("abc", [(-1, 0)]),
         ("abc", [(0, 3)]),
     ],
-    ids=["duplicate", "self-cover", "cycle", "id-minus-one", "id-m"],
+    ids=["self-cover", "cycle", "id-minus-one", "id-m"],
 )
 def test_kernel_input_rejected(elements, covers):
     # (-1, 0) would index from the end of the list and build a poset
     with pytest.raises(ValueError):
         FinitePoset(elements, covers)
+
+
+def _with_a_repeat(mp, name, build):
+    """build(3) with parking_order.<name> listing its first item twice."""
+    listing = getattr(parking_order, name)
+    mp.setattr(parking_order, name, lambda n: [*listing(n), next(iter(listing(n)))])
+    return build.__wrapped__(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mp: FinitePoset("aab", [(0, 2)]).index,
+        lambda mp: FinitePoset.from_down_masks("aab", [1, 2, 5]).index,
+        lambda mp: FinitePoset.from_leq("aab", lambda i, j: False),
+        lambda mp: _with_a_repeat(mp, "enumerate_noncrossing", build_nc_poset),
+        lambda mp: _with_a_repeat(
+            mp, "ordered_set_compositions", permutahedron_face_poset
+        ),
+        lambda mp: face_poset([frozenset({(1, 2)}), frozenset({(1, 2)})]),
+    ],
+    ids=[
+        "first-index",
+        "from_down_masks-first-index",
+        "from_leq",
+        "build_nc_poset",
+        "permutahedron_face_poset",
+        "face_poset",
+    ],
+)
+def test_duplicate_elements_rejected(build, monkeypatch):
+    """Builders that hash their elements reject a duplicate at
+    construction; any other poset rejects it when its index is first
+    built."""
+    with pytest.raises(ValueError, match="duplicate elements"):
+        build(monkeypatch)
+
+
+def test_from_down_masks_hashes_no_element():
+    class Unhashable:
+        def __hash__(self):
+            raise AssertionError("element hashed")
+
+    poset = FinitePoset.from_down_masks([Unhashable(), Unhashable()], [1, 3])
+    assert poset.cover_index_pairs() == [(0, 1)]
 
 
 def test_interval_and_induced():
@@ -320,6 +365,17 @@ def test_partition_ids_name_each_partition(n):
 def test_enumeration_ids_follow_the_enumeration(n):
     pp = build_pp_poset(n)
     assert list(enumeration_ids(n)) == [pp.index[e] for e in enumerate_elements(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_listing_follows_the_sorted_enumeration(n):
+    """The words of the listing are those of enumerate_elements(n) in
+    sort_key order, and a cold build's lazy elements are those elements."""
+    listed = sorted(enumerate_elements(n), key=lambda e: e.sort_key)
+    assert parking_words(n) == tuple(e.word for e in listed)
+    elements = build_pp_poset.__wrapped__(n).elements
+    assert list(elements) == listed
+    assert all(elements[i] is x for i, x in enumerate(elements))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -34,6 +34,37 @@ def test_script_runs(argv, tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def _export(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "export_posets.py"), "--n", "5"]
+        + ["--outdir", str(tmp_path), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+
+
+def test_export_posets_long_writes_every_file(tmp_path):
+    result = _export(tmp_path, "--long")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cluster_5.json",
+        "kdivisible_5_2.json",
+        "nc_5.dot",
+        "parking_5.dot",
+        "parking_5.json",
+    ]
+
+
+def test_export_posets_names_the_refused_call(tmp_path):
+    result = _export(tmp_path)
+    assert result.returncode == 2
+    assert "failed (2): cluster --n 5\n" in result.stdout
+    assert not (tmp_path / "cluster_5.json").exists()
+
+
 def test_reproduce_tables_rejects_nmax_out_of_range(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(

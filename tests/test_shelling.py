@@ -382,6 +382,14 @@ def test_checks_read_joins_from_the_parking_poset(monkeypatch):
     assert len(sorted_maximal_chains(3)) == 18
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parking_codes_are_element_codes(n):
+    """The codes read from words and partition ids are the element codes
+    of a cold build's elements."""
+    elements = build_pp_poset.__wrapped__(n).elements
+    assert shelling._parking_codes(n) == list(map(element_code, elements))
+
+
 @pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
 def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
     original = shelling.permutation_code
