@@ -85,6 +85,7 @@ from .objects import (
     enumerate_trees,
 )
 from .parking_order import (
+    MAX_POSET_N,
     build_nc_poset,
     build_pp_poset,
     element_from_block_labels,
@@ -119,7 +120,7 @@ from .shelling import (
 REPRESENTATIONS = ("triple", "pair", "word", "tree")
 # (lo, hi, long_hi) of n for the parking poset build behind `poset` and
 # the oracle column of `count`
-_PARKING_N = (2, 5, 6)
+_PARKING_N = (2, 5, MAX_POSET_N)
 
 
 class CommandError(Exception):

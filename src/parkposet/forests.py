@@ -147,20 +147,23 @@ def boundary_faces(n: int) -> list[frozenset[Edge]]:
 
 
 def face_poset(faces: Iterable[frozenset[Edge]]) -> FinitePoset:
-    """Inclusion order on the nonempty faces.
+    """Inclusion order on the nonempty faces, each face g covering the
+    faces g - {e}.  The faces must form a complex: ValueError on a face
+    whose one-edge-smaller face is missing, and on a repeated face.
 
     The order complex of this poset is the barycentric subdivision of the
     simplicial complex, so the homology machinery applied to it computes
-    the homology of the complex itself.  ValueError on a repeated face.
+    the homology of the complex itself.
     """
     nonempty = sorted((f for f in faces if f), key=sorted)
     ids = element_ids(nonempty)
-    covers = [
-        (i, j)
-        for i, f in enumerate(nonempty)
-        for j, g in enumerate(nonempty)
-        if len(g) == len(f) + 1 and f < g
-    ]
+
+    def below(g: frozenset[Edge], e: Edge) -> int:
+        if g - {e} not in ids:
+            raise ValueError(f"not a complex: face {sorted(g)} lacks {sorted(g - {e})}")
+        return ids[g - {e}]
+
+    covers = ((below(g, e), j) for j, g in enumerate(nonempty) if len(g) > 1 for e in g)
     poset = FinitePoset(nonempty, covers)
     poset.index = ids
     return poset

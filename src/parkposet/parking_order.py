@@ -118,7 +118,7 @@ def build_nc_poset(n: int) -> FinitePoset:
         enumerate_noncrossing(n), key=lambda p: (len(p.blocks), p.blocks)
     )
     ids = element_ids(elements)
-    covers = [(i, ids[q]) for i, p in enumerate(elements) for q in nc_upper_covers(p)]
+    covers = ((i, ids[q]) for i, p in enumerate(elements) for q in nc_upper_covers(p))
     poset = FinitePoset(elements, covers)
     poset.index = ids
     return poset
@@ -253,11 +253,8 @@ def descend(elem: ParkingElement, coarser: NoncrossingPartition) -> ParkingEleme
         raise ValueError("descend needs a coarsening of the element's partition")
     if not isinstance(coarser, NoncrossingPartition):
         coarser = NoncrossingPartition(coarser.n, coarser.blocks)
-    low = _block_minima(coarser)
-    labels: dict[int, list[int]] = {b[0]: [] for b in coarser.blocks}
-    for i, m in enumerate(elem.word, start=1):
-        labels[low[m - 1]].append(i)
-    return ParkingElement.from_triple(coarser, labels.values())
+    low = [0, *_block_minima(coarser)]
+    return _element_from_word(coarser, map(low.__getitem__, elem.word))
 
 
 def ideal(elem: ParkingElement) -> list[ParkingElement]:
@@ -388,18 +385,19 @@ def _element_from_word(partition: NoncrossingPartition, word) -> ParkingElement:
 @lru_cache(maxsize=None)
 def build_pp_poset(n: int) -> FinitePoset:
     """The parking poset on [n], elements sorted by (rank, word), with the
-    NC_n lower covers of each partition lifted by descent on the word.
-    The build reads words and partition ids only: each element is built
-    from its word when its id is first read, and the index on first
-    lookup."""
+    NC_n lower covers of each partition lifted by descent on the word,
+    and streamed to the constructor.  The build reads words and partition
+    ids only: each element is built from its word when its id is first
+    read, and the index on first lookup."""
     words, _, parts, by_word = _parking_listing(n)
     nc = build_nc_poset(n)
     # The minimum of the block of each letter, indexed by the letter.
     block_min = [[0, *_block_minima(q)].__getitem__ for q in nc.elements]
-    covers = []
-    for i, (word, part) in enumerate(zip(words, parts)):
-        for q in nc.down[part]:
-            covers.append((by_word[tuple(map(block_min[q], word))], i))
+    covers = (
+        (by_word[tuple(map(block_min[q], word))], i)
+        for i, (word, part) in enumerate(zip(words, parts))
+        for q in nc.down[part]
+    )
     partitions = nc.elements
     elements = LazyElements(
         len(words), lambda i: _element_from_word(partitions[parts[i]], words[i])
@@ -496,15 +494,11 @@ def permutahedron_face_poset(n: int) -> FinitePoset:
         raise ValueError("permutahedron_face_poset is guarded to n <= 6")
     elements = sorted(ordered_set_compositions(n), key=lambda c: (len(c), c))
     ids = element_ids(elements)
-    covers = []
-    for j, comp in enumerate(elements):
-        for i in range(len(comp) - 1):
-            merged = (
-                comp[:i]
-                + (tuple(sorted(comp[i] + comp[i + 1])),)
-                + comp[i + 2 :]
-            )
-            covers.append((ids[merged], j))
+    covers = (
+        (ids[(*c[:i], tuple(sorted(c[i] + c[i + 1])), *c[i + 2 :])], j)
+        for j, c in enumerate(elements)
+        for i in range(len(c) - 1)
+    )
     poset = FinitePoset(elements, covers)
     poset.index = ids
     return poset

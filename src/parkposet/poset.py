@@ -52,9 +52,11 @@ def element_ids(elements: Sequence[Hashable]) -> dict[Hashable, int]:
 class FinitePoset:
     """Finite poset built from an element list and cover id pairs (low, high).
 
-    A LazyElements list is kept as given, so its entries are built only
-    when read; any other sequence is copied into a list.  The index, and
-    with it the check for duplicate elements, is built on first lookup;
+    Each id keeps its upper and lower covers (up, down) as sorted lists
+    with no repeat, filled as the covers come from any iterable.  A
+    LazyElements list is kept as given, so its entries are built only when
+    read; any other sequence is copied into a list.  The index, and with
+    it the check for duplicate elements, is built on first lookup;
     builders that hash their elements anyway check them at construction.
     """
 
@@ -70,17 +72,18 @@ class FinitePoset:
         self.elements = elements
         m = len(self.elements)
         ids = list(range(m))  # one shared int object per id
-        up_sets: list[set[int]] = [set() for _ in range(m)]
-        down_sets: list[set[int]] = [set() for _ in range(m)]
+        self.up, self.down = [[] for _ in ids], [[] for _ in ids]
         for a, b in covers:
             if not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"cover ({a}, {b}) has an id outside 0..{m - 1}")
             if a == b:
                 raise ValueError("self-cover")
-            up_sets[a].add(ids[b])
-            down_sets[b].add(ids[a])
-        self.up = [sorted(s) for s in up_sets]
-        self.down = [sorted(s) for s in down_sets]
+            self.up[a].append(ids[b])
+            self.down[b].append(ids[a])
+        for near in (*self.up, *self.down):
+            near.sort()
+            if len(set(near)) < len(near):  # a repeated cover
+                near[:] = dict.fromkeys(near)
         self.linear_extension = self._toposort()
         self._downlists: list[list[int]] | None = None
         self._ranks: list[int] | None = None
@@ -346,7 +349,8 @@ class FinitePoset:
     # ----- serialization -----
 
     def cover_index_pairs(self) -> list[tuple[int, int]]:
-        return sorted((i, j) for i in range(len(self.elements)) for j in self.up[i])
+        """The cover id pairs (low, high), sorted: the up lists in id order."""
+        return [(i, j) for i, ups in enumerate(self.up) for j in ups]
 
     def _labels(self, labels: Iterable[object] | None) -> Iterable[object]:
         return map(str, self.elements) if labels is None else labels
@@ -356,18 +360,15 @@ class FinitePoset:
     ) -> dict:
         """The meta entries, one label per id (str of each element by
         default) and the cover id pairs."""
-        data: dict = dict(meta)
-        data["elements"] = list(self._labels(labels))
-        data["covers"] = [list(pair) for pair in self.cover_index_pairs()]
-        return data
+        covers = [[i, j] for i, j in self.cover_index_pairs()]
+        return {**meta, "elements": list(self._labels(labels)), "covers": covers}
 
     def to_dot(self, labels: Iterable[str] | None = None) -> str:
         """DOT text with one label per id (str of each element by default)."""
         lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
         for i, label in enumerate(self._labels(labels)):
             lines.append(f'  v{i} [label="{label}"];')
-        for i, j in self.cover_index_pairs():
-            lines.append(f"  v{i} -> v{j};")
+        lines += (f"  v{i} -> v{j};" for i, j in self.cover_index_pairs())
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -454,13 +454,15 @@ def check_zero_prefix_join(n: int) -> int:
 def _cover_pairs(
     n: int, same_block: bool
 ) -> Iterator[tuple[int, int, int, int | None]]:
-    """Each x of ``build_pp_poset(n)`` with two of its upper covers s and
-    t that split the same block of x, or different blocks, as
-    ``same_block`` asks, and the join of s and t (None for the top)."""
-    poset = build_pp_poset(n)
-    elements = poset.elements
+    """Each x of ``build_pp_poset(n)`` with two upper covers s and t that
+    split the same block of x, or different blocks, as ``same_block`` asks,
+    and the join of s and t (None for the top); the split block is the one
+    holding the transposition label of the NC_n cover, read once per cover."""
+    poset, nc, pid = build_pp_poset(n), build_nc_poset(n), partition_ids(n)
+    labels = _nc_labels(nc).items()
+    block = {c: nc.elements[c[0]].block_index_of(t[0]) for c, t in labels}
     for x, ups in enumerate(poset.up):
-        split = {s: split_block(elements[x], elements[s]) for s in ups}
+        split = {s: block[pid[x], pid[s]] for s in ups}
         for s, t in combinations(ups, 2):
             if (split[s] == split[t]) == same_block:
                 yield x, s, t, poset.join_index(s, t)
@@ -473,23 +475,22 @@ def check_split_diamond(n: int) -> int:
     code jumps across the diamond match crosswise.  Returns the number
     of diamonds checked."""
     poset = build_pp_poset(n)
-    elements = poset.elements
+    elements, ranks = poset.elements, poset.ranks()
     codes = _parking_codes(n)
     checked = 0
     for x, s, t, j in _cover_pairs(n, same_block=False):
-        base = elements[x]
         checked += 1
-        if j is None or elements[j].rank != base.rank + 2:
-            raise ValueError(f"diamond join fails over {base}")
+        if j is None or ranks[j] != ranks[x] + 2:
+            raise ValueError(f"diamond join fails over {elements[x]}")
         diamond = 1 << x | 1 << s | 1 << t | 1 << j
         if poset.upset_mask(x) & poset.downset_mask(j) != diamond:
-            raise ValueError(f"diamond interval fails over {base}")
+            raise ValueError(f"diamond interval fails over {elements[x]}")
         cx, cs, ct, cj = codes[x], codes[s], codes[t], codes[j]
         ja, jb = _code_jump(cx, cs), _code_jump(cx, ct)
         if ja != _code_jump(ct, cj) or jb != _code_jump(cs, cj):
-            raise ValueError(f"diamond code jumps fail over {base}")
+            raise ValueError(f"diamond code jumps fail over {elements[x]}")
         if ja == jb and ja != 0:
-            raise ValueError(f"equal nonzero jumps over {base}")
+            raise ValueError(f"equal nonzero jumps over {elements[x]}")
     return checked
 
 
@@ -500,7 +501,6 @@ def check_same_block_jump_bound(n: int) -> int:
     the artificial top are skipped, since the jump is not defined
     there.  Returns the number of cover pairs checked."""
     poset = build_pp_poset(n)
-    elements = poset.elements
     codes = _parking_codes(n)
     checked = 0
     for x, s, t, join in _cover_pairs(n, same_block=True):
@@ -515,8 +515,8 @@ def check_same_block_jump_bound(n: int) -> int:
                 checked += 1
                 if _code_jump(codes[u], codes[v]) > bound:
                     raise ValueError(
-                        f"jump bound fails over {elements[x]} with "
-                        f"{elements[s]}, {elements[t]}"
+                        f"jump bound fails over {poset.elements[x]} with "
+                        f"{poset.elements[s]}, {poset.elements[t]}"
                     )
     return checked
 

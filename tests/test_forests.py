@@ -6,6 +6,7 @@ and the cluster poset against the parking function poset: equal Whitney
 numbers, equal homology, equal characters.
 """
 
+import re
 from collections import defaultdict
 from itertools import combinations, permutations
 
@@ -177,6 +178,28 @@ class TestTopology:
         faces = enumerate_forest_faces(n)
         assert faces[0] == frozenset()
         assert face_poset(faces).elements == faces[1:]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_face_covers_drop_one_edge(self, n):
+        """The one-edge drops are the covers that the all-pairs scan of
+        inclusions with one edge more finds."""
+        for faces in (enumerate_forest_faces(n), boundary_faces(n)):
+            poset = face_poset(faces)
+            scan = [
+                (i, j)
+                for i, f in enumerate(poset.elements)
+                for j, g in enumerate(poset.elements)
+                if len(g) == len(f) + 1 and f < g
+            ]
+            assert poset.cover_index_pairs() == scan
+
+    def test_face_poset_needs_a_complex(self):
+        faces = [frozenset({(1, 3), (2, 3)}), frozenset({(1, 3)})]
+        missing = re.escape("face [(1, 3), (2, 3)] lacks [(2, 3)]")
+        with pytest.raises(ValueError, match=missing):
+            face_poset(faces)
+        faces.append(frozenset({(2, 3)}))
+        assert face_poset(faces).cover_index_pairs() == [(0, 1), (2, 1)]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_boundary_is_a_sphere(self, n):

@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from parkposet import parking_order
-from parkposet.forests import build_cluster_poset, face_poset
+from parkposet.forests import build_cluster_poset, enumerate_forest_faces, face_poset
 from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
@@ -222,6 +223,60 @@ def test_from_down_masks_hashes_no_element():
 
     poset = FinitePoset.from_down_masks([Unhashable(), Unhashable()], [1, 3])
     assert poset.cover_index_pairs() == [(0, 1)]
+
+
+# ----- the cover store -----
+
+
+def test_repeated_cover_kept_once():
+    poset = FinitePoset("abc", [(1, 2), (0, 1), (1, 2), (0, 1), (0, 1)])
+    assert (poset.up, poset.down) == ([[1], [2], []], [[], [0], [1]])
+    assert poset.cover_index_pairs() == [(0, 1), (1, 2)]
+
+
+def test_covers_from_a_generator():
+    pairs = diamond().cover_index_pairs()
+    poset = FinitePoset("0abc1", (pair for pair in reversed(pairs)))
+    assert poset.cover_index_pairs() == pairs
+    assert poset.down[4] == [1, 2, 3]
+
+
+COVER_STORES = {
+    **{f"pp({n})": lambda n=n: build_pp_poset(n) for n in range(1, 6)},
+    "NC_6": lambda: build_nc_poset(6),
+    "faces(5)": lambda: face_poset(enumerate_forest_faces(5)),
+}
+
+
+@pytest.mark.parametrize("name", COVER_STORES)
+def test_cover_lists_are_sorted(name):
+    poset = COVER_STORES[name]()
+    for near in (*poset.up, *poset.down):
+        assert near == sorted(set(near))
+
+
+@pytest.mark.parametrize("name", COVER_STORES)
+def test_cover_index_pairs_are_the_sorted_pairs(name):
+    poset = COVER_STORES[name]()
+    from_down = {(j, i) for i, below in enumerate(poset.down) for j in below}
+    assert poset.cover_index_pairs() == sorted(from_down)
+
+
+def test_parking_build_peak_near_what_it_holds():
+    """A cold build_pp_poset(5), its listing and NC_5 warm, streams its
+    covers into the cover lists, so its traced peak stays near what the
+    poset holds (3.15 times as much when the covers were listed first
+    and gathered in per-id sets)."""
+    parking_order._parking_listing(5)
+    build_nc_poset(5)
+    tracemalloc.start()
+    try:
+        poset = build_pp_poset.__wrapped__(5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(poset) == 1296
+    assert peak <= 1.5 * held
 
 
 def test_interval_and_induced():

@@ -1,6 +1,7 @@
 """Tests for the chain order on the bounded parking poset, the shelling
 condition, and the cover statistics supporting it."""
 
+import itertools
 import math
 import random
 import sys
@@ -406,19 +407,54 @@ def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
     assert len(calls) == 125
 
 
-@pytest.mark.parametrize("check", [check_split_diamond, check_same_block_jump_bound])
-def test_one_split_block_per_cover(monkeypatch, check):
-    original = shelling.split_block
-    calls = []
+@pytest.mark.parametrize(
+    "check,count", [(check_split_diamond, 48), (check_same_block_jump_bound, 3360)]
+)
+def test_split_checks_build_no_element(monkeypatch, check, count):
+    """On a cold pp(4) the split-block checks read each split block from
+    an NC_4 cover and each rank by id: no ParkingElement is built."""
 
-    def counted(lower, upper):
-        calls.append((lower, upper))
-        return original(lower, upper)
+    def refuse(*args):
+        raise AssertionError("ParkingElement built")
 
-    monkeypatch.setattr(shelling, "split_block", counted)
-    check(4)
-    # 364 covers in the parking poset on [4]
-    assert len(calls) == len(set(calls)) == 364
+    def cold():
+        parking_order._parking_listing.cache_clear()
+        build_pp_poset.cache_clear()
+
+    cold()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(ParkingElement, "__init__", refuse)
+            assert check(4) == count
+    finally:
+        cold()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_nc_split_is_split_block(n):
+    """The block read from the NC_n cover under each cover of pp(n), the
+    lower block holding its transposition label, is split_block of the
+    two elements; so the pairs of covers that the split checks visit are
+    those that split_block sorts into the same or different blocks."""
+    poset, nc = build_pp_poset(n), build_nc_poset(n)
+    pid, labels = parking_order.partition_ids(n), shelling._nc_labels(nc)
+    elements = poset.elements
+    split = {}
+    for x, ups in enumerate(poset.up):
+        for s in ups:
+            lower = nc.elements[pid[x]]
+            read = lower.block_of(labels[pid[x], pid[s]][0])
+            split[x, s] = split_block(elements[x], elements[s])
+            assert frozenset(read) == split[x, s]
+    for same in (True, False):
+        expected = [
+            (x, s, t)
+            for x, ups in enumerate(poset.up)
+            for s, t in itertools.combinations(ups, 2)
+            if (split[x, s] == split[x, t]) == same
+        ]
+        visited = shelling._cover_pairs(n, same_block=same)
+        assert [(x, s, t) for x, s, t, _ in visited] == expected
 
 
 def test_one_parking_key_table_per_n(monkeypatch, fresh_parking_keys):
