@@ -310,11 +310,13 @@ _SHELLING_CHECKS: tuple[tuple[str, Callable[[int], int]], ...] = (
 
 def shelling_suite(n: int) -> list[dict]:
     """Run the shelling suite on [n]: the shelling check, both fork
-    lemmas and the support lemmas, one report entry each.  Every check
-    runs under the same capture: one that finds a broken invariant and
-    raises ValueError or RuntimeError reports ok false, with the
-    exception text as its counterexample.  A report's domain is the field
-    named next to it; a support check returns its domain."""
+    lemmas and the support lemmas, one report entry each.  The shelling
+    entry also fails when its homology facets are not (n-1)^(n-1), the
+    top Betti number of the proper part.  Every check runs under the same
+    capture: one that finds a broken invariant and raises ValueError or
+    RuntimeError reports ok false, with the exception text as its
+    counterexample.  A report's domain is the field named next to it; a
+    support check returns its domain."""
     runs = [
         ("shelling", verify_shelling, "num_chains"),
         ("cover_fork", verify_fork_lemma, "checked"),
@@ -327,6 +329,10 @@ def shelling_suite(n: int) -> list[dict]:
             result = check(n)
             domain = result if field is None else getattr(result, field)
             violations = [] if field is None else result.violations
+            if name == "shelling" and result.facets != prime_parking_count(n):
+                facets = f"{result.facets} homology facets"
+                closed = f"(n-1)^(n-1) = {prime_parking_count(n)}"
+                violations = [*violations, f"{facets}, not {closed}"]
             counterexample = str(violations[0]) if violations else None
         except (ValueError, RuntimeError) as exc:
             domain, counterexample = None, str(exc)

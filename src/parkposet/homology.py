@@ -150,7 +150,11 @@ def _coboundary_rows(
     as its smallest column the chain with the smallest such element put
     in front, and every other face of that column sorts before the
     chain, so no earlier row holds the column.  Only chains that start
-    at a minimal element are reduced."""
+    at a minimal element are reduced.  `build_pp_poset`, `build_nc_poset`
+    and `permutahedron_face_poset` number every cover upward in id, so
+    their ids are a linear extension; `build_ppk_poset`, `build_nck_poset`
+    and `build_cluster_poset` number every cover downward.  The ranks are
+    exact on any ids; only the number of reductions depends on them."""
     position = {ch: i for i, ch in enumerate(small)}
     rows: list[dict[int, int] | None] = [
         None if i in cleared else {} for i in range(len(small))

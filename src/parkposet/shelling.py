@@ -13,21 +13,25 @@ Every check runs on ids and reads one cover order per poset: the upper
 covers of each id sorted by key (``_cover_order``).  On the noncrossing
 side the key is ``transposition_label``, one per NC_n cover; on the
 parking side it is ``cover_key`` read from ids, one code per element
-(``_parking_codes``) and one label per NC_n cover, in one cached order
-per n (``_parking_cover_order``).  The first cover of x below v in that
-order (``_first_below``) decides every earlier-swap test, and both fork
-lemmas run one loop.  The maximal chains come out of the depth-first
-walk of ``poset._chains`` over the sorted lists, already in the chain
-order, and the shelling check reads each chain as it comes: a chain
-passes when, between the positions where an earlier swap exists, it
-takes the first cover below the next such position at every step.  No
-bounded poset is built: the walk runs on ``build_pp_poset(n)`` with a
-sentinel top id m as the one cover of every maximal element
-(``_hat_cover_order``), and -1 as its down-set mask.  Joins are read
-from ``join_index`` of the poset checked, with None for the adjoined
-top: the bounded poset is a lattice, so two elements with a common upper
-bound in the parking poset have a least one there, and its join in the
-bounded poset is the top exactly when they have none.
+read off its parking word and partition (``_parking_codes``) and one
+label per NC_n cover, in one cached order per n
+(``_parking_cover_order``).  The first cover of x below v in that order
+(``_first_below``) decides every earlier-swap test; where v is two
+ranks above x, one table per x answers it for every such v
+(``_first_below_two_up``), and both fork lemmas run one loop on it.
+The maximal chains come out of a depth-first walk over the sorted
+lists, already in the chain order, and the shelling check keeps its
+state per chain prefix: a chain passes when, between the positions
+where an earlier swap exists, it takes the first cover below the next
+such position at every step, and each such test runs once for all
+chains through the prefix it reads.  No bounded poset is built: the
+walk runs on ``build_pp_poset(n)`` with a sentinel top id m as the one
+cover of every maximal element (``_hat_cover_order``), and -1 as its
+down-set mask.  Joins are read from ``join_index`` of the poset checked,
+with None for the adjoined top: the bounded poset is a lattice, so two
+elements with a common upper bound in the parking poset have a least one
+there, and its join in the bounded poset is the top exactly when they
+have none.
 
 Everything here is exhaustive verification on small n; the guards of
 ``parking_order.build_pp_poset`` apply.
@@ -42,7 +46,6 @@ from typing import Callable, Iterator
 
 from .nc import (
     NoncrossingPartition,
-    Permutation,
     embed_permutation,
     permutation_code,
     zero_prefix_length,
@@ -167,21 +170,26 @@ def _nc_labels(nc: FinitePoset) -> dict[tuple[int, int], tuple[int, int]]:
     }
 
 
+def _word_code(word: tuple[int, ...], blocks) -> tuple[int, ...]:
+    """`element_code` of the element with this parking word over the
+    partition with these blocks: the element at each position is the next
+    one, increasingly, of the block whose minimum is the letter there,
+    and entry i counts the earlier positions holding a larger element."""
+    take = {b[0]: iter(b) for b in blocks}
+    at = [next(take[m]) for m in word]
+    return tuple([sum(map(v.__lt__, at[:i])) for i, v in enumerate(at)])[::-1]
+
+
 @cache
 def _parking_codes(n: int) -> list[tuple[int, ...]]:
     """One `element_code` per id of ``build_pp_poset(n)``, read from the
-    parking word and the partition id with no element built: the label
-    permutation sends each block increasingly onto the positions that
-    carry its minimum."""
+    parking word and the partition id with no element or permutation
+    built."""
     partitions = build_nc_poset(n).elements
-    codes = []
-    for word, part in zip(parking_words(n), partition_ids(n)):
-        blocks = {b[0]: iter(b) for b in partitions[part].blocks}
-        sigma = [0] * n
-        for i, m in enumerate(word, start=1):
-            sigma[next(blocks[m]) - 1] = i
-        codes.append(permutation_code(Permutation(sigma)))
-    return codes
+    return [
+        _word_code(word, partitions[part].blocks)
+        for word, part in zip(parking_words(n), partition_ids(n))
+    ]
 
 
 def _parking_key(n: int) -> Callable[[int, int], tuple]:
@@ -214,6 +222,19 @@ def _first_below(order: list[list[int]], x: int, mask: int) -> int:
     below v, given the down-set mask of v (-1 for the top); x < v is
     required."""
     return next(w for w in order[x] if mask >> w & 1)
+
+
+def _first_below_two_up(
+    poset: FinitePoset, order: list[list[int]], x: int
+) -> dict[int, int]:
+    """`_first_below` at x for every z two ranks above x, as one dict: in
+    a graded poset a cover w of x lies below such a z exactly when z
+    covers w, so the first w in the order at x to list z keeps it."""
+    first: dict[int, int] = {}
+    for w in order[x]:
+        for z in poset.up[w]:
+            first.setdefault(z, w)
+    return first
 
 
 # ----- the chain order and the shelling condition -----
@@ -252,7 +273,15 @@ def _check_shelling(
 ) -> ShellingReport:
     """The check of `verify_shelling` on a poset with bottom id 0, with
     the sentinel top id ``len(poset)`` adjoined, whose covers, the top
-    among them, are ordered by ``order``."""
+    among them, are ordered by ``order``.
+
+    The walk is that of `poset._chains`, with a state per depth d of the
+    chain prefix: the last position before d - 1 found in D(p) (0 if
+    none), whether every interior position before d - 1 is in D(p), and
+    whether every gap closed so far passed.  The element at d decides
+    whether position d - 1 is in D(p), and if it is, closes the gap up to
+    d - 1; so each earlier-swap test and each gap test runs once per
+    prefix, not once per maximal chain through it."""
     memo: dict[int, int] = {}
     top = len(poset)
 
@@ -264,30 +293,45 @@ def _check_shelling(
             w = memo[key] = _first_below(order, x, mask)
         return w
 
+    # whether the chain takes the first cover below v, its element at the
+    # fixed position b, at every position from a + 1 to b - 2; the one at
+    # b - 1 does by not being in D(p), so callers skip gaps with b - a < 3
+    def gap(a: int, b: int, v: int) -> bool:
+        return all(first(chain[l - 1], v) == chain[l] for l in range(a + 1, b - 1))
+
     report = ShellingReport(n=n)
-    for chain in _chains(order):
+    chain, state, stack = [0], [(0, True, True)], [iter(order[0])]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            chain.pop()
+            state.pop()
+            continue
+        d = len(chain)
+        a, every, ok = state[-1]
+        if d > 1:
+            if first(chain[d - 2], v) != chain[d - 1]:
+                ok = ok and (d - 1 - a < 3 or gap(a, d - 1, chain[d - 1]))
+                a = d - 1
+            else:
+                every = False
+        if order[v]:
+            chain.append(v)
+            state.append((a, every, ok))
+            stack.append(iter(order[v]))
+            continue
         report.num_chains += 1
-        end = len(chain) - 1
-        descents = [
-            l for l in range(1, end) if first(chain[l - 1], chain[l + 1]) != chain[l]
-        ]
-        fixed = [0, *descents, end]
-        if len(fixed) == end + 1:
+        if every:
             report.facets += 1
-            continue
-        # a position followed by a fixed one is first below it by not
-        # being in D(p); the others are checked against the next fixed one
-        if all(
-            first(chain[l - 1], chain[b]) == chain[l]
-            for a, b in pairwise(fixed)
-            for l in range(a + 1, b - 1)
-        ):
-            continue
-        earlier = [0]
-        for b in fixed[1:]:
-            while earlier[-1] != chain[b]:
-                earlier.append(first(earlier[-1], chain[b]))
-        report.violations.append((tuple(earlier), chain))
+        elif not (ok and (d - a < 3 or gap(a, d, v))):
+            full = (*chain, v)
+            earlier = [0]
+            # the positions of D(p) are the last fixed positions of the states
+            for b in [*sorted({s[0] for s in state} | {a})[1:], d]:
+                while earlier[-1] != full[b]:
+                    earlier.append(first(earlier[-1], full[b]))
+            report.violations.append((tuple(earlier), full))
     return report
 
 
@@ -303,10 +347,13 @@ def verify_shelling(n: int) -> ShellingReport:
     exists.  The condition then reads: no earlier chain agrees with p
     on all positions of D(p).  The first chain through p's elements at
     D(p) and both ends takes, between two consecutive such positions,
-    the first cover below the next fixed element at every step.  So
-    each chain, as the walk of `sorted_maximal_chains` yields it, passes
-    when it takes that first cover at every position outside D(p); a
-    failing p is reported with that first chain.  No chain is stored.
+    the first cover below the next fixed element at every step.  So a
+    chain passes when it takes that first cover at every position
+    outside D(p), and a failing p is reported with that first chain.
+    The chains come from the walk of `sorted_maximal_chains`, which
+    keeps its state per chain prefix: whether a position is in D(p), and
+    whether the gap ending there passes, is decided once for all chains
+    through the prefix.  No chain is stored.
 
     The chains with D(p) every interior position are the homology
     facets of this lexicographic shelling, counted in ``facets``: the
@@ -341,12 +388,13 @@ def _verify_fork(n: int, poset: FinitePoset, order: list[list[int]]) -> ForkRepo
     elements = poset.elements
     report = ForkReport(n=n)
     for x, ups in enumerate(order):
+        first = _first_below_two_up(poset, order, x)
         for k, y in enumerate(ups):
             if not k:
                 continue
             for h, z in enumerate(order[y]):
                 report.checked += k
-                if _first_below(order, x, poset.downset_mask(z)) != y:
+                if first[z] != y:
                     report.replaced_middle += k
                     continue
                 for yp in ups[:k]:
@@ -423,12 +471,12 @@ def check_zero_prefix_blocks(n: int) -> int:
     """The zero prefix length counts the top labels v with v inside the
     block carrying v; returns the number of elements checked."""
     poset = build_pp_poset(n)
-    for elem in poset.elements:
+    for elem, code in zip(poset.elements, _parking_codes(n)):
         eta = elem.eta()
         k = 0
         while k < n and (n - k) in eta[n - k - 1]:
             k += 1
-        if element_zero_prefix(elem) != k:
+        if zero_prefix_length(code) != k:
             raise ValueError(f"zero prefix mismatch at {elem}")
     return len(poset.elements)
 
@@ -521,6 +569,19 @@ def check_same_block_jump_bound(n: int) -> int:
     return checked
 
 
+def _minimal_steps(
+    poset: FinitePoset, order: list[list[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Each x covered by y covered by z, as (x, y, z), where y is the first
+    cover of x below z in ``order``."""
+    for x, ups in enumerate(order):
+        first = _first_below_two_up(poset, order, x)
+        for y in ups:
+            for z in order[y]:
+                if first[z] == y:
+                    yield x, y, z
+
+
 def check_minimal_jump_grows(n: int) -> int:
     """Along x covered by y covered by z, if y is the earliest element
     of the open interval (x, z) in the cover order at x, the code jump
@@ -528,18 +589,11 @@ def check_minimal_jump_grows(n: int) -> int:
     number of such minimal configurations."""
     poset = build_pp_poset(n)
     codes = _parking_codes(n)
-    order = _parking_cover_order(n)
     checked = 0
-    for x, code in enumerate(codes):
-        for y in order[x]:
-            for z in order[y]:
-                if _first_below(order, x, poset.downset_mask(z)) != y:
-                    continue
-                checked += 1
-                if _code_jump(code, codes[y]) > _code_jump(codes[y], codes[z]):
-                    raise ValueError(
-                        f"jump drops along minimal chain at {poset.elements[x]}"
-                    )
+    for x, y, z in _minimal_steps(poset, _parking_cover_order(n)):
+        checked += 1
+        if _code_jump(codes[x], codes[y]) > _code_jump(codes[y], codes[z]):
+            raise ValueError(f"jump drops along minimal chain at {poset.elements[x]}")
     return checked
 
 

@@ -354,6 +354,33 @@ class TestShelling:
         )
         assert entries["cover_fork"]["ok"] is True
 
+    def test_wrong_facet_count_fails_its_entry(self, capsys, monkeypatch):
+        # the facet count is checked against (n-1)^(n-1) wherever the
+        # suite runs, not only by the tests
+        original = cli.verify_shelling
+
+        def miscounted(n):
+            report = original(n)
+            report.facets += 1
+            return report
+
+        monkeypatch.setattr(cli, "verify_shelling", miscounted)
+        code, out = run(capsys, "shelling", "--n", "3")
+        assert code == 1
+        entries = {entry["name"]: entry for entry in json.loads(out)["checks"]}
+        assert entries["shelling"]["ok"] is False
+        assert entries["shelling"]["domain"] == 18
+        assert entries["shelling"]["counterexample"] == (
+            "5 homology facets, not (n-1)^(n-1) = 4"
+        )
+        assert entries["cover_fork"]["ok"] is True
+        code, out = run(capsys, "verify-all", "--n", "3")
+        assert code == 1
+        assert (
+            "[FAIL] shelling: n=2: shelling: 2 homology facets, not (n-1)^(n-1) = 1\n"
+            in out
+        )
+
     def test_report_digest(self, capsys):
         code, out = run(capsys, "shelling", "--n", "4")
         assert code == 0

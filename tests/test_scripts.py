@@ -1,8 +1,11 @@
 """Smoke tests of the driver scripts: each runs at a small size and
-exits 0.  reproduce_tables.py also fails on a bad size or a mismatch."""
+exits 0.  reproduce_tables.py and verify_shelling.py also fail on a bad
+size or a mismatch."""
 
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +128,62 @@ def test_reproduce_tables_runs_every_table_from_two_to_nmax(monkeypatch, capsys)
     )
     assert script.main(["--nmax", "5"]) == 1
     assert capsys.readouterr().err.startswith("MISMATCH n=5 character at 1+1+1+1+1")
+
+
+def run_verify_shelling(tmp_path, n):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_shelling.py"), "--n", str(n)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+
+
+def test_verify_shelling_prints_counts(tmp_path):
+    result = run_verify_shelling(tmp_path, 4)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(result.stdout) == {
+        "n": 4,
+        "chains": 384,
+        "facets": 27,
+        "shelling_violations": 0,
+        "fork_checked": 3798,
+        "fork_replaced_middle": 3122,
+        "fork_raised_top": 676,
+        "fork_violations": 0,
+    }
+    assert result.stdout.count("\n") == 1
+    assert re.fullmatch(
+        r"verify_shelling [0-9.]+ s, verify_fork_lemma [0-9.]+ s, "
+        r"peak RSS [0-9.]+ MB\n",
+        result.stderr,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_verify_shelling_rejects_n_out_of_range(tmp_path, n):
+    result = run_verify_shelling(tmp_path, n)
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
+def test_verify_shelling_fails_on_a_wrong_facet_count(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "verify_shelling_script", ROOT / "scripts" / "verify_shelling.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--n", "3"]) == 0
+    original = script.verify_shelling
+
+    def miscounted(n):
+        report = original(n)
+        report.facets += 1
+        return report
+
+    monkeypatch.setattr(script, "verify_shelling", miscounted)
+    capsys.readouterr()
+    assert script.main(["--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["facets"] == 5

@@ -195,6 +195,77 @@ def test_nc_fork_lemma():
         assert (rep.checked, rep.replaced_middle, rep.raised_top) == expected
 
 
+def fork_by_definition(n, order):
+    """The fork condition of `verify_fork_lemma` read off its definition
+    on the bounded poset, with ``leq_index`` and ``join_index`` only: for
+    x, y' before y in ``order`` at x, and z covering y, in the parking
+    poset, either some y'' <= z precedes y at x (a replaced middle), or
+    some z' covering y with z' <= join(y', z) precedes z at y (a raised
+    top).  Returns the counts (checked, replaced_middle, raised_top), the
+    violations (x, y, y', z) and the set of (x, y, z) with no such y''."""
+    hat = build_pp_poset_hat(n)
+    counts, violations, minimal = [0, 0, 0], set(), set()
+    for x, ups in enumerate(order):
+        for k, y in enumerate(ups):
+            for h, z in enumerate(order[y]):
+                middle = any(hat.leq_index(w, z) for w in ups[:k])
+                if not middle:
+                    minimal.add((x, y, z))
+                for yp in ups[:k]:
+                    counts[0] += 1
+                    join = hat.join_index(yp, z)
+                    if middle:
+                        counts[1] += 1
+                    elif any(hat.leq_index(zp, join) for zp in order[y][:h]):
+                        counts[2] += 1
+                    else:
+                        violations.add((x, y, yp, z))
+    return tuple(counts), violations, minimal
+
+
+def fork_orders(n, seeds):
+    """The true cover order of pp(n), then one shuffled copy per seed."""
+    true = shelling._parking_cover_order(n)
+    orders = [true]
+    for seed in seeds:
+        rng = random.Random(seed)
+        orders.append([rng.sample(ups, len(ups)) for ups in true])
+    return orders
+
+
+@pytest.mark.parametrize("n,seeds", [(2, [0]), (3, [0, 1, 2]), (4, [0, 1])])
+def test_fork_matches_definition(n, seeds):
+    poset = build_pp_poset(n)
+    reports = []
+    for order in fork_orders(n, seeds):
+        counts, violations, _ = fork_by_definition(n, order)
+        report = shelling._verify_fork(n, poset, order)
+        assert (report.checked, report.replaced_middle, report.raised_top) == counts
+        found = [tuple(map(poset.index.__getitem__, v)) for v in report.violations]
+        assert len(found) == len(set(found))
+        assert set(found) == violations
+        reports.append(report)
+    # the true order passes; from n = 3 on, some shuffled order fails
+    assert reports[0].ok
+    assert any(not report.ok for report in reports[1:]) == (n >= 3)
+
+
+@pytest.mark.parametrize("n,seeds", [(2, [0]), (3, [0, 1, 2]), (4, [0, 1])])
+def test_minimal_steps_match_definition(monkeypatch, n, seeds):
+    poset = build_pp_poset(n)
+    for order in fork_orders(n, seeds):
+        _, _, minimal = fork_by_definition(n, order)
+        steps = list(shelling._minimal_steps(poset, order))
+        assert len(steps) == len(set(steps))
+        assert set(steps) == minimal
+        # the check counts exactly these, on any order; a constant jump
+        # keeps it from stopping at a drop
+        with monkeypatch.context() as patch:
+            patch.setattr(shelling, "_parking_cover_order", lambda n: order)
+            patch.setattr(shelling, "_code_jump", lambda low, high: 0)
+            assert check_minimal_jump_grows(n) == len(minimal)
+
+
 # ----- one cover key per cover -----
 
 
@@ -383,6 +454,11 @@ def test_checks_read_joins_from_the_parking_poset(monkeypatch):
     assert len(sorted_maximal_chains(3)) == 18
 
 
+# the two routines that compute a code: from a label permutation, and
+# from a parking word and its partition's blocks
+CODE_ROUTES = ("permutation_code", "_word_code")
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parking_codes_are_element_codes(n):
     """The codes read from words and partition ids are the element codes
@@ -393,17 +469,21 @@ def test_parking_codes_are_element_codes(n):
 
 @pytest.mark.parametrize("check", [check for check, _ in SUPPORT_COUNTS_4])
 def test_one_code_per_element(monkeypatch, fresh_parking_keys, check):
-    original = shelling.permutation_code
+    originals = {name: getattr(shelling, name) for name in CODE_ROUTES}
     calls = []
 
-    def counted(perm):
-        calls.append(perm)
-        return original(perm)
+    def counted(original):
+        def call(*args):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(shelling, "permutation_code", counted)
+        return call
+
+    for name, original in originals.items():
+        monkeypatch.setattr(shelling, name, counted(original))
     check(4)
-    # one call per element of the poset on [4] (label permutations
-    # repeat), also where the check reads the cover order
+    # one code per element of the poset on [4], by either route (label
+    # permutations repeat), also where the check reads the cover order
     assert len(calls) == 125
 
 
@@ -458,7 +538,8 @@ def test_nc_split_is_split_block(n):
 
 
 def test_one_parking_key_table_per_n(monkeypatch, fresh_parking_keys):
-    calls = {"cover_key": [], "permutation_code": [], "transposition_label": []}
+    calls = {"cover_key": [], "transposition_label": []}
+    calls.update((name, []) for name in CODE_ROUTES)
 
     def counted(original, seen):
         def call(*args):
@@ -475,7 +556,7 @@ def test_one_parking_key_table_per_n(monkeypatch, fresh_parking_keys):
     # one cover order on [4] serves all three: one code per element, one
     # label per cover of NC_4, and no key built from two elements
     assert len(calls["cover_key"]) == 0
-    assert len(calls["permutation_code"]) == 125
+    assert sum(len(calls[name]) for name in CODE_ROUTES) == 125
     assert len(calls["transposition_label"]) == 28
     assert len(set(calls["transposition_label"])) == 28
 

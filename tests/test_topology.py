@@ -33,7 +33,12 @@ from parkposet.homology import (
     top_homology_character,
     whitney_module_character,
 )
-from parkposet.kdivisible import build_ppk_poset, ppk_action, ppk_action_ids
+from parkposet.kdivisible import (
+    build_nck_poset,
+    build_ppk_poset,
+    ppk_action,
+    ppk_action_ids,
+)
 from parkposet.nc import (
     NoncrossingPartition,
     Permutation,
@@ -42,7 +47,12 @@ from parkposet.nc import (
 )
 from parkposet.numbers import binomial, catalan
 from parkposet.objects import ParkingElement, enumerate_elements
-from parkposet.parking_order import build_nc_poset, build_pp_poset, pp_action_ids
+from parkposet.parking_order import (
+    build_nc_poset,
+    build_pp_poset,
+    permutahedron_face_poset,
+    pp_action_ids,
+)
 from parkposet.poset import FinitePoset
 
 
@@ -170,6 +180,17 @@ PROPER_PARTS = {
     "ppk(4,2)": lambda: build_ppk_poset(4, 2).without_bottom(),
 }
 
+
+# each builder with whether it numbers every cover upward in id (True) or
+# every cover downward (False)
+COVER_DIRECTIONS = {
+    "pp(5)": (lambda: build_pp_poset(5), True),
+    "nc(6)": (lambda: build_nc_poset(6), True),
+    "permutahedron(4)": (lambda: permutahedron_face_poset(4), True),
+    "ppk(4,2)": (lambda: build_ppk_poset(4, 2), False),
+    "nck(4,2)": (lambda: build_nck_poset(4, 2), False),
+    "cluster(4)": (lambda: build_cluster_poset(4), False),
+}
 
 
 @cache
@@ -354,6 +375,14 @@ class TestSparseRank:
                     assert min(row) not in pivots
                 sparse_rank([row], pivots)
             cleared = set(pivots)
+
+    @pytest.mark.parametrize("name", sorted(COVER_DIRECTIONS))
+    def test_builder_id_orientation(self, name):
+        # _coboundary_rows pivots at once only on ids that are a linear
+        # extension: each builder numbers every cover one way
+        build, upward = COVER_DIRECTIONS[name]
+        poset = build()
+        assert {i < j for i, ups in enumerate(poset.up) for j in ups} == {upward}
 
     @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
     def test_betti_match_unreduced_fraction_ranks(self, name):
