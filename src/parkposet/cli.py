@@ -52,6 +52,7 @@ from .forests import (
 from .homology import (
     parking_betti,
     reduced_betti,
+    reduced_euler_characteristic,
     signed_prime_character,
     top_degree_character,
     top_homology_character,
@@ -403,7 +404,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         return _character_table(
             args, n, 1, build_pp_poset(n), lambda perm: pp_action_ids(n, perm)
         )
-    _require_n(args, 2, 4, 5)
+    _require_n(args, 2, 4, 6)
     betti = parking_betti(n)
     rows = [(degree - 1, rank) for degree, rank in enumerate(betti)]
     if args.format == "json":
@@ -647,10 +648,18 @@ def _betti_closed(n: int, k: int = 1) -> tuple[int, ...]:
 
 
 def _verify_homology(nmax: int, kmax: int) -> tuple[bool, str]:
+    """Betti numbers by elimination against the closed form, and Hall's
+    theorem: the reduced Euler characteristic of the proper part, from
+    chain counts, is the Mobius value of the poset with a top adjoined."""
     for n in range(2, nmax + 1):
         betti = parking_betti(n)
         if betti != _betti_closed(n):
             return False, f"n={n}: betti {betti} != {_betti_closed(n)}"
+        poset = build_pp_poset(n)
+        mu = poset.mobius_hat()
+        euler = reduced_euler_characteristic(poset.without_bottom())
+        if euler != mu:
+            return False, f"n={n}: reduced Euler characteristic {euler} != mu {mu}"
     return True, f"betti concentrated in degree n-2 with rank (n-1)^(n-1), n=2..{nmax}"
 
 

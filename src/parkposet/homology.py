@@ -6,15 +6,13 @@ time: a chain grows by an id strictly above its top, read from the up
 masks.  This module computes the reduced rational Betti numbers with
 exact arithmetic: each boundary rank is the rank of the coboundary, its
 transpose, from fraction-free sparse elimination over Python integers,
-taken from the smallest chain size up with clearing between degrees.
-Fraction-free elimination is exact because each step replaces a row by
-an integer combination a*row - b*pivot with a nonzero, which keeps the
-row space over Q.  Clearing is exact because each row it leaves out
-lies in the span of the rows that stay, so no rank changes.
-Working upward, the rows of a coboundary that reduce to zero number
-exactly the Betti number of its smaller chains, so for a homology
-concentrated in the top degree every row of the largest matrix, the top
-coboundary, is a pivot.
+taken from the smallest chain size up with clearing between degrees, on
+the dual poset.  Fraction-free elimination is exact because each step
+replaces a row by an integer combination a*row - b*pivot with a nonzero,
+which keeps the row space over Q.  Clearing is exact because each row it
+leaves out lies in the span of the rows that stay, so no rank changes.
+Most rows are apparent pivots: their smallest column, read from masks,
+is new, and they are counted with no row built.
 
 On top of the generic machinery sit the facts specific to the parking
 function poset.  Its proper part has reduced homology concentrated in the
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .nc import NoncrossingPartition, Permutation, kreweras
 from .numbers import catalan
@@ -133,38 +131,89 @@ def sparse_rank(
     return rank
 
 
-def _coboundary_rows(
-    small: list[tuple[int, ...]],
-    big: list[tuple[int, ...]],
-    cleared: set[int],
-) -> list[dict[int, int]]:
-    """Rows of the coboundary map from chains of size s - 1 to chains of
-    size s, the transpose of the boundary: one row per smaller chain whose
-    index is not in `cleared`, from the last chain of `small` to the
-    first, holding {index of a larger chain containing it: sign}.  The
-    sign is that of the smaller chain in the boundary of the larger,
-    (-1)^i when the larger chain's element i is the one left out.
+class _Coboundary:
+    """Rows of the coboundary of the order complex of a poset whose ids
+    are a linear extension.  The row of a chain holds (-1)^p at each
+    larger chain that puts an id in at position p, keyed by that chain as
+    a tuple, so its columns sort in the order of their layer."""
 
-    The order makes most rows pivot at once when the ids are a linear
-    extension.  A chain whose first element lies above some element has
-    as its smallest column the chain with the smallest such element put
-    in front, and every other face of that column sorts before the
-    chain, so no earlier row holds the column.  Only chains that start
-    at a minimal element are reduced.  `build_pp_poset`, `build_nc_poset`
-    and `permutahedron_face_poset` number every cover upward in id, so
-    their ids are a linear extension; `build_ppk_poset`, `build_nck_poset`
-    and `build_cluster_poset` number every cover downward.  The ranks are
-    exact on any ids; only the number of reductions depends on them."""
-    position = {ch: i for i, ch in enumerate(small)}
-    rows: list[dict[int, int] | None] = [
-        None if i in cleared else {} for i in range(len(small))
-    ]
-    for index, ch in enumerate(big):
-        for i in range(len(ch)):
-            row = rows[position[ch[:i] + ch[i + 1 :]]]
-            if row is not None:
-                row[index] = 1 if i % 2 == 0 else -1
-    return [row for row in reversed(rows) if row is not None]
+    def __init__(self, poset: FinitePoset):
+        m = len(poset)
+        self.every = (1 << m) - 1
+        self.below = [poset.downset_mask(i) ^ 1 << i for i in range(m)]
+        self.above = [poset.upset_mask(i) ^ 1 << i for i in range(m)]
+
+    def gaps(self, chain: tuple[int, ...]) -> Iterator[int]:
+        """Masks of the ids that fit in at positions 0..len(chain)."""
+        mask = self.every
+        for x in chain:
+            yield mask & self.below[x]
+            mask = self.above[x]
+        yield mask
+
+    def leading(self, chain: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
+        """(smallest column, its entry) of the chain's row from the masks
+        alone, or (None, 0) for an empty row.  A larger chain first differs
+        from the chain where its id goes in, and is smaller there, so the
+        smallest column puts the smallest id of the first nonempty gap in.
+        It runs once per chain, so it walks the gaps inline: the `gaps`
+        generator costs more per call."""
+        below = self.below
+        gap, p = self.every, 0
+        for x in chain:
+            if gap & below[x]:
+                gap &= below[x]
+                break
+            gap, p = self.above[x], p + 1
+        if not gap:
+            return None, 0
+        low = (gap & -gap).bit_length() - 1
+        return chain[:p] + (low,) + chain[p:], -1 if p % 2 else 1
+
+    def row(self, chain: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        return {
+            chain[:p] + (x,) + chain[p:]: -1 if p % 2 else 1
+            for p, gap in enumerate(self.gaps(chain))
+            for x in _bits(gap)
+        }
+
+
+class _Pivots(dict):
+    """Pivot rows by column for `sparse_rank`, where an apparent pivot is
+    held as (chain, sign) and its row built the first time `get` reads
+    it; RuntimeError unless that row leads at its column with entry sign."""
+
+    def __init__(self, coboundary: _Coboundary):
+        super().__init__()
+        self.coboundary = coboundary
+
+    def get(self, col):
+        piv = super().get(col)
+        if type(piv) is tuple:
+            chain, sign = piv
+            row = self.coboundary.row(chain)
+            if min(row, default=None) != col or row[col] != sign:
+                raise RuntimeError(f"the row of chain {chain} does not lead at {col}")
+            piv = self[col] = {c: sign * v for c, v in row.items()}
+        return piv
+
+
+def _top_down(poset: FinitePoset) -> FinitePoset:
+    """The dual poset, with the same order complex, on ids that are a
+    linear extension of it: ids that number every cover downward are
+    kept, ids that number every cover upward are reversed, and any other
+    poset is relabelled along its reversed linear extension."""
+    m = len(poset)
+    covers = [(j, i) for i, ups in enumerate(poset.up) for j in ups]
+    if all(a < b for a, b in covers):
+        new = range(m)
+    elif all(a > b for a, b in covers):
+        new = range(m - 1, -1, -1)
+    else:
+        new = {i: t for t, i in enumerate(reversed(poset.linear_extension))}
+    dual = FinitePoset(range(m), ((new[a], new[b]) for a, b in covers))
+    assert all(i < j for i, ups in enumerate(dual.up) for j in ups)
+    return dual
 
 
 def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
@@ -176,36 +225,43 @@ def reduced_betti(poset: FinitePoset) -> tuple[int, ...]:
     augmented chain complex is used throughout: the empty chain spans the
     (-1)-dimensional chain group.
 
-    Each boundary rank is computed as the rank of its transpose, the
+    The chains are read on the dual poset (`_top_down`), whose order
+    complex is the same.  Each boundary rank is the rank of the
     coboundary, from the smallest chain size up, with clearing in the
     cohomology direction (de Silva, Morozov and Vejdemo-Johansson,
     "Dualities in persistent (co)homology", 2011; Bauer, "Ripser", 2021):
-    an s-chain that is the pivot column of a row of the coboundary from
-    (s-1)-chains is left out of the rows of the coboundary from s-chains.
-    That pivot row is a cocycle r = delta(c) whose smallest column is the
-    chain, and delta(r) = 0, so the chain's own coboundary row lies in
-    the span of the rows of later chains.  By descending induction every
-    row left out lies in the span of the rows kept, so no rank changes.
-    The coboundary from (s-1)-chains keeps as many rows as the boundary
-    of (s-1)-chains has nullity, so exactly Betti-many of its rows reduce
-    to zero: when the homology is concentrated in the top degree, every
-    row of the top coboundary, the largest matrix, is a pivot.
+    an s-chain that is the pivot column of a row from (s-1)-chains leaves
+    out its own row.  That pivot row is a cocycle whose smallest column is
+    the chain, so the chain's row lies in the span of the rows of later
+    chains, and by descending induction in the span of the rows kept.
+    The rows go from the last chain to the first, and one whose smallest
+    column no earlier row holds is an apparent pivot (Bauer, ibid.),
+    counted with no row built: such rows have distinct smallest columns,
+    so they are in echelon form, and `sparse_rank` reduces the other rows
+    against them as against its own pivots.
     """
-    layers = chains_by_size(poset)
-    ranks = [0] * (len(layers) + 1)
-    cleared: set[int] = set()
-    for s in range(1, len(layers)):
-        pivots: dict[int, dict[int, int]] = {}
-        # Only the pivot columns outlive the call; no rows of this degree
-        # are held while the next, larger one is built.
-        ranks[s] = sparse_rank(
-            _coboundary_rows(layers[s - 1], layers[s], cleared), pivots
-        )
+    dual = _top_down(poset)
+    coboundary = _Coboundary(dual)
+    layers = chains_by_size(dual)
+    sizes = [len(layer) for layer in layers]
+    layers.pop()  # larger chains are read from the masks
+    ranks = [0] * (len(sizes) + 1)
+    cleared: set[tuple[int, ...]] = set()
+    for s in range(1, len(sizes)):
+        pivots = _Pivots(coboundary)
+        rows = []
+        for chain in reversed(layers[s - 1]):
+            if chain not in cleared:
+                col, sign = coboundary.leading(chain)
+                if col is None or col in pivots:
+                    rows.append(coboundary.row(chain))
+                else:
+                    pivots[col] = chain, sign
+        layers[s - 1] = []  # only its size is read from here on
+        sparse_rank(rows, pivots)
+        ranks[s] = len(pivots)
         cleared = set(pivots)
-    betti = []
-    for s, layer in enumerate(layers):
-        betti.append(len(layer) - ranks[s] - ranks[s + 1])
-    return tuple(betti)
+    return tuple(size - ranks[s] - ranks[s + 1] for s, size in enumerate(sizes))
 
 
 def reduced_euler_characteristic(poset: FinitePoset) -> int:

@@ -443,9 +443,16 @@ class TestHomology:
         assert data["ok"] is True
         assert len(data["characters"]) == 3
 
+    def test_long_size_six_betti(self):
+        # most rows are apparent pivots, so elimination at n = 6 fits the
+        # --long budget: about 12 s and 0.8 GB on a shared 2-CPU machine
+        argv = [sys.executable, "-m", "parkposet.cli", "homology", "--n", "6"]
+        result = subprocess.run(argv + ["--long"], capture_output=True, text=True)
+        assert result.returncode == 0
+        assert result.stdout == "degree,rank\n-1,0\n0,0\n1,0\n2,0\n3,0\n4,3125\n"
+
     def test_long_size_six_character(self):
-        # The character goes to n = 6 under --long; the Betti table stays
-        # at 5, since elimination at 6 runs for minutes.
+        # The character goes to n = 6 under --long, as the Betti table does.
         argv = [sys.executable, "-m", "parkposet.cli", "homology", "--n", "6"]
         result = subprocess.run(
             argv + ["--long", "--character"], capture_output=True, text=True
@@ -457,7 +464,7 @@ class TestHomology:
         perms = class_representatives(6)
         assert values == [signed_prime_character(6, 1, perm) for perm in perms]
         assert all(row[3] == "yes" for row in rows)
-        for extra in (["--long"], ["--character"]):
+        for extra in ([], ["--character"]):
             assert subprocess.run(argv + extra, capture_output=True).returncode == 2
 
 
@@ -769,6 +776,27 @@ class TestVerifyAll:
         assert run(capsys, "verify-all", "--n", "2", "--jobs", "1000")[0] == 0
         assert sizes == [3, 12]
 
+    @pytest.mark.parametrize("side", ["euler", "mobius"])
+    def test_homology_checks_halls_theorem(self, capsys, monkeypatch, side):
+        # the reduced Euler characteristic of each proper part, from chain
+        # counts, must equal the Mobius value, whichever side is wrong
+        if side == "euler":
+            original = cli.reduced_euler_characteristic
+            monkeypatch.setattr(
+                cli, "reduced_euler_characteristic", lambda p: original(p) + 1
+            )
+            values = "2 != mu 1"
+        else:
+            original = FinitePoset.mobius_hat
+            monkeypatch.setattr(FinitePoset, "mobius_hat", lambda p: original(p) - 1)
+            values = "1 != mu 0"
+        code, out = run(capsys, "verify-all", "--n", "3")
+        assert code == 1
+        assert (
+            f"[FAIL] homology-betti: n=2: reduced Euler characteristic {values}\n"
+            in out
+        )
+
     def test_long_checks_betti_at_size_five(self):
         assert cli._run_verify_check(("homology-betti", 5, 1)) == (
             "homology-betti",
@@ -945,8 +973,8 @@ class TestPlumbing:
         (("count", "--n", "1", "--long"), "need 2 <= n <= 7"),
         (("shelling", "--n", "5"), "need 2 <= n <= 4 (5 with --long)"),
         (("shelling", "--n", "6", "--long"), "need 2 <= n <= 4 (5 with --long)"),
-        (("homology", "--n", "1"), "need 2 <= n <= 4 (5 with --long)"),
-        (("homology", "--n", "6", "--long"), "need 2 <= n <= 4 (5 with --long)"),
+        (("homology", "--n", "1"), "need 2 <= n <= 4 (6 with --long)"),
+        (("homology", "--n", "7", "--long"), "need 2 <= n <= 4 (6 with --long)"),
         (("homology", "--n", "5", "--character"), "need 2 <= n <= 4 (6 with --long)"),
         (
             ("homology", "--n", "7", "--long", "--character"),

@@ -193,6 +193,37 @@ COVER_DIRECTIONS = {
 }
 
 
+def cover_directions(poset):
+    """The set of values of `low < high` over the cover id pairs."""
+    return {i < j for i, j in poset.cover_index_pairs()}
+
+
+def shuffled(poset, seed):
+    """The same poset on ids permuted at random, so that its covers point
+    both ways in id."""
+    image = list(range(len(poset)))
+    random.Random(seed).shuffle(image)
+    elements = [None] * len(poset)
+    for i, x in enumerate(poset.elements):
+        elements[image[i]] = x
+    covers = [(image[i], image[j]) for i, j in poset.cover_index_pairs()]
+    return FinitePoset(elements, covers)
+
+
+# posets on which the leading column of every coboundary row is checked
+LEADING_CASES = {
+    "pp(3)": lambda: build_pp_poset(3).without_bottom(),
+    "pp(4)": lambda: build_pp_poset(4).without_bottom(),
+    "pp(5)": lambda: build_pp_poset(5).without_bottom(),
+    "nc(5)": lambda: build_nc_poset(5).without_bottom(),
+    "ppk(3,2)": lambda: build_ppk_poset(3, 2).without_bottom(),
+    "ppk(4,2)": lambda: build_ppk_poset(4, 2).without_bottom(),
+    "nck(4,2)": lambda: build_nck_poset(4, 2).without_bottom(),
+    "cluster(4)": lambda: build_cluster_poset(4).without_bottom(),
+    "shuffled pp(4)": lambda: shuffled(build_pp_poset(4).without_bottom(), 2021),
+}
+
+
 @cache
 def fraction_ranks(name):
     """fraction_rank of each unreduced boundary matrix of a PROPER_PARTS
@@ -342,8 +373,11 @@ class TestSparseRank:
         seen = []
 
         def recording_rank(rows, pivots=None):
+            # the pivots held at call time are the apparent ones: rows
+            # kept and counted in the rank with no row built
+            apparent = len(pivots)
             rank = sparse_rank(rows, pivots)
-            seen.append((len(rows), rank))
+            seen.append((len(rows) + apparent, rank + apparent))
             return rank
 
         monkeypatch.setattr(homology, "sparse_rank", recording_rank)
@@ -356,33 +390,64 @@ class TestSparseRank:
             kept[s] -= plain[s - 1]
         assert seen == list(zip(kept, plain))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_only_chains_from_minimal_elements_are_reduced(self, n):
-        # build_pp_poset lists ids in a linear extension, so the row of a
-        # chain whose first element lies above another pivots at once.
-        poset = build_pp_poset(n).without_bottom()
-        minimal = set(poset.minimal_indices())
-        layers = chains_by_size(poset)
-        cleared = set()
-        for s in range(1, len(layers)):
-            small = layers[s - 1]
-            kept = [i for i in reversed(range(len(small))) if i not in cleared]
-            rows = homology._coboundary_rows(small, layers[s], cleared)
-            assert len(rows) == len(kept)
-            pivots = {}
-            for i, row in zip(kept, rows):
-                if small[i] and small[i][0] not in minimal:
-                    assert min(row) not in pivots
-                sparse_rank([row], pivots)
-            cleared = set(pivots)
+    @pytest.mark.parametrize("name", sorted(LEADING_CASES))
+    def test_leading_column_is_the_rows_smallest(self, name):
+        # the column and sign read from the masks are the smallest column
+        # of the coboundary row built from the boundary, and its entry
+        dual = homology._top_down(LEADING_CASES[name]())
+        coboundary = homology._Coboundary(dual)
+        layers = chains_by_size(dual)
+        for s, rows in enumerate(boundary_matrices(dual)):
+            for chain, row in zip(layers[s], transpose(rows, len(layers[s]))):
+                col = min(row, default=None)
+                lead = (None, 0) if col is None else (layers[s + 1][col], row[col])
+                assert coboundary.leading(chain) == lead
+                assert coboundary.row(chain) == {
+                    layers[s + 1][c]: v for c, v in row.items()
+                }
+
+    @pytest.mark.parametrize("wrong", ["largest id", "flipped sign"])
+    def test_wrong_leading_column_is_caught(self, wrong, monkeypatch):
+        # a pivot held with no row built is checked when its row is built
+        leading = homology._Coboundary.leading
+
+        def mistaken(self, chain):
+            col, sign = leading(self, chain)
+            if col is None or wrong == "flipped sign":
+                return col, -sign
+            gaps = list(self.gaps(chain))
+            p = next(p for p, gap in enumerate(gaps) if gap)
+            return chain[:p] + (gaps[p].bit_length() - 1,) + chain[p:], sign
+
+        monkeypatch.setattr(homology._Coboundary, "leading", mistaken)
+        with pytest.raises(RuntimeError, match="does not lead at"):
+            reduced_betti(build_pp_poset(4).without_bottom())
 
     @pytest.mark.parametrize("name", sorted(COVER_DIRECTIONS))
     def test_builder_id_orientation(self, name):
-        # _coboundary_rows pivots at once only on ids that are a linear
-        # extension: each builder numbers every cover one way
+        # _top_down keeps the ids of a builder that numbers every cover
+        # downward and reverses those of one that numbers every cover
+        # upward, so the dual's ids are a linear extension, which the
+        # leading column read from the masks needs
         build, upward = COVER_DIRECTIONS[name]
         poset = build()
-        assert {i < j for i, ups in enumerate(poset.up) for j in ups} == {upward}
+        assert cover_directions(poset) == {upward}
+        m = len(poset)
+        new = range(m - 1, -1, -1) if upward else range(m)
+        dual_covers = {(new[j], new[i]) for i, j in poset.cover_index_pairs()}
+        assert set(homology._top_down(poset).cover_index_pairs()) == dual_covers
+
+    @pytest.mark.parametrize("name", ["pp(4)", "cluster(4)"])
+    def test_betti_on_shuffled_ids(self, name):
+        poset = PROPER_PARTS[name]()
+        sizes = [len(layer) for layer in chains_by_size(poset)]
+        ranks = [0, *fraction_ranks(name), 0]
+        expected = tuple(sizes[s] - ranks[s] - ranks[s + 1] for s in range(len(sizes)))
+        assert reduced_betti(poset) == expected
+        for seed in range(3):
+            other = shuffled(poset, seed)
+            assert cover_directions(other) == {True, False}
+            assert reduced_betti(other) == expected
 
     @pytest.mark.parametrize("name", sorted(PROPER_PARTS))
     def test_betti_match_unreduced_fraction_ranks(self, name):
